@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import asymptotics, finite, series
@@ -20,15 +19,7 @@ from .catalog import default_scale, resolve_triple
 from .cutoffs import parse_cutoff
 from .oracles import catalog_zeta
 
-__all__ = ["main", "thread_cap"]
-
-
-def thread_cap() -> int:
-    """Parallelism cap from SAL_THREADS (engines are serial; 1 disables)."""
-    try:
-        return max(1, int(os.environ.get("SAL_THREADS", "1")))
-    except ValueError:
-        return 1
+__all__ = ["main"]
 
 
 def _fmt(x) -> str:

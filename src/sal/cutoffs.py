@@ -208,7 +208,11 @@ class QuadDensity:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
             return float(np.sum(w * np.exp(-s * float(x))))
-        return np.exp(-np.outer(x, s)) @ w
+        # a few rows of the (points x nodes) matrix at a time, about 8 MB
+        step = max(1, (1 << 20) // s.size)
+        x = x.ravel()
+        return np.concatenate([np.exp(-np.outer(x[i:i + step], s)) @ w
+                               for i in range(0, x.size, step)] or [np.empty(0)])
 
     def moment(self, m: float, absolute: bool = False) -> float:
         s, w = self._arr()
@@ -392,7 +396,6 @@ def window_cutoff(a: float, b: float) -> CutoffFunction:
         raise ValueError("window_cutoff: need 0 <= a < b")
     if a > 0:
         p = 16.0
-        C = (p / a) ** p * math.exp(-p) * (b - a) * a  # crude but certified
         # f(x) <= (b-a) e^{-a x}; bound against x^{-p} as for atoms
         C = (b - a) * (p / a) ** p * math.exp(-p)
         x0 = p / a

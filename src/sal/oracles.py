@@ -149,8 +149,8 @@ def _simple_pole_sequence(zeta_fn, pole_z: float, residue: float,
         plist = [(pole_z, residue)] + (extra_poles or [])
         pole_res = {z: r for z, r in plist}
         for z, r in plist:
-            dat = _taylor_datum(lambda s, _z=z: zeta_fn(s) - _z * 0
-                                - pole_res[_z] / (s - _z), z, n_coeffs=1)
+            dat = _taylor_datum(lambda s, _z=z: zeta_fn(s) - pole_res[_z] / (s - _z),
+                                z, n_coeffs=1)
             lau = {-1: complex(r)}
             lau[0] = dat.laurent[0]
             out.append(PoleDatum(complex(z), 1, lau))

@@ -5,9 +5,11 @@ counting functions and partial/Dixmier traces, all by direct summation over
 a `Spectrum` with an explicit truncation certificate attached to every
 result (`TruncationReport`).
 
-Summation is deterministic: terms are consumed in ascending singular value
-order and folded through a fixed pairwise reduction tree with Kahan
-compensation at the leaves, so results do not depend on internal chunking.
+Summation is deterministic: one kernel walks the spectrum's blocks in
+ascending singular value order, and the terms are folded through a fixed
+pairwise reduction tree with Kahan compensation at its 64-term leaves
+(`PairwiseSummer`), bit for bit as if one at a time, whatever the block
+sizes.  Heat-trace exponentials and the reported tail bounds are libm's.
 
 Tail bounds follow the spectrum's declared growth model:
 polynomial-counting spectra use an incomplete-gamma integral comparison,
@@ -21,12 +23,17 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import partial
+from itertools import repeat
+from types import SimpleNamespace
+from typing import Callable, Iterable, NamedTuple
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 
 from .special import gamma, riemann_zeta, upper_gamma
-from .spectra import ExponentialTail, LogSquareTail, PolynomialTail, Spectrum
+from .spectra import ExponentialTail, LogSquareTail, PolynomialTail, Spectrum, block_ranges
 
 log = logging.getLogger(__name__)
 
@@ -82,6 +89,7 @@ class PairwiseSummer:
     """
 
     _BLOCK = 64
+    _LANES = 16     # from this many leaves on, `extend` runs them lane-wise
 
     def __init__(self):
         self._stack: list[tuple[int, float]] = []  # (level, partial)
@@ -104,6 +112,32 @@ class PairwiseSummer:
             self._comp = 0.0
             self._in_block = 0
 
+    def extend(self, xs: np.ndarray) -> None:
+        """`add` each term of xs, bit for bit.  The leaves xs completes are laid
+        out as rows (the first starting at the fill of the open leaf), and the
+        Kahan step runs down all rows at once, one numpy call per column."""
+        B, k0 = self._BLOCK, self._in_block
+        rows = (k0 + xs.size) // B
+        head = rows * B - k0 if rows >= self._LANES else 0
+        if head:
+            grid = np.zeros(rows * B, dtype=xs.dtype)
+            grid[k0:] = xs[:head]
+            grid = grid.reshape(rows, B)
+            acc, comp = np.zeros(rows, dtype=xs.dtype), np.zeros(rows, dtype=xs.dtype)
+            for j in range(B):
+                if j == k0:         # row 0 holds zeros before the open leaf
+                    acc[0], comp[0] = self._acc, self._comp
+                y = grid[:, j] - comp
+                t = acc + y
+                comp = (t - acc) - y
+                acc = t
+            for leaf in acc.tolist():
+                self._push(leaf)
+            self._acc, self._comp, self._in_block = 0.0, 0.0, 0
+            self._count += head
+        for x in xs[head:].tolist():
+            self.add(x)
+
     def _push(self, val: float) -> None:
         level = 0
         while self._stack and self._stack[-1][0] == level:
@@ -124,35 +158,146 @@ class PairwiseSummer:
 
 
 # ---------------------------------------------------------------------------
+# The summation kernel
+# ---------------------------------------------------------------------------
+
+class _Cols(NamedTuple):
+    """Index, value, multiplicity, term and engine column (`aux`) of a block."""
+    n: np.ndarray
+    v: np.ndarray
+    m: np.ndarray
+    x: np.ndarray
+    aux: np.ndarray | None
+
+    def at(self, k: int) -> "_Cols":
+        return _Cols(*(None if c is None else c[k:k + 1] for c in self))
+
+
+def _libm(fn, x: np.ndarray, *consts) -> np.ndarray:
+    """A `math` function over an array.  numpy's SIMD exp, pow and log differ
+    from libm in the last place on a few percent of inputs, and by CPU."""
+    return np.fromiter(map(fn, x.tolist(), *map(repeat, consts)), float, x.size)
+
+
+# Tail bounds are screened with numpy over whole blocks; the one reported is
+# libm's, as the scalar formulas had it.  The two differ by a few ulps, far
+# below _SCREEN, except where the scalar incomplete gamma comes out too large
+# (see `upper_gamma`): a screen below the reported bound misses no stop.
+_NUMPY = SimpleNamespace(exp=np.exp, log=np.log, power=np.power,
+                         upper_gamma=lambda a, y: upper_gamma(a, y))
+_LIBM = SimpleNamespace(exp=partial(_libm, math.exp), log=partial(_libm, math.log),
+                        power=partial(_libm, math.pow),
+                        upper_gamma=lambda a, y: np.array([upper_gamma(a, v).real
+                                                           for v in y.tolist()]))
+_SCREEN = 1e-9
+_EPS = np.finfo(float).eps
+
+
+def _tails(bound, cols: _Cols, xp) -> np.ndarray:
+    if bound is None:
+        return np.full(cols.n.size, math.inf)
+    with np.errstate(all="ignore"):     # inf and nan are bounds like any other
+        return bound(cols, xp)
+
+
+def _certified_sum(spectrum: Spectrum, block_terms, bound, tol: float,
+                   base: float = 0.0, seed: float | None = None):
+    """Sum a spectrum's terms up to the first certified stop.
+
+    `block_terms(n, v, m)` gives a block's terms (real or complex), its `aux`
+    column, the mask of indices where the stop is tested, and the index of a
+    sharp edge ending the sum (or None); `bound(cols, xp)` gives tail bounds
+    (None: no certificate).  The stop is the first tested n with bound
+    < tol (|base + S_n| + 1), S_n the running sum from `seed`.  Indices that
+    pass a screen on cumulative sums (widened by their rounding error) are
+    tested on the exact sum and libm bound, so it is the term-by-term stop.
+    Returns (total, terms_used, tail_bound, converged, tested).
+    """
+    summer = PairwiseSummer()
+    if seed is not None:
+        summer.add(seed)
+    count, absum, last = 0, 0.0, None           # last: the last tested index
+    for v, m in spectrum.blocks():
+        n = np.arange(count, count + v.size)
+        x, aux, live, cut = block_terms(n, v, m)
+        x, live = x[:cut], live[:cut]
+        absum += float(np.abs(x).sum())
+        done = 0
+        if live.any():
+            cols = _Cols(n, v, m, x, aux)
+            # the cumulative sums miss the exact running sums by less than slack
+            slack = 4.0 * _EPS * (x.size + 64) * absum
+            scale = np.abs(base + summer.total() + np.cumsum(x)) + slack + 1.0
+            near = _tails(bound, cols, _NUMPY)[:x.size] < tol * (1.0 + _SCREEN) * scale
+            near |= n[:x.size] > _MAX_TERMS
+            for k in np.flatnonzero(near & live).tolist():
+                summer.extend(x[done:k + 1])
+                done = k + 1
+                tail = float(_tails(bound, cols.at(k), _LIBM)[0])
+                limit = tol * (abs(base + summer.total()) + 1.0)
+                if tail < limit or n[k] > _MAX_TERMS:
+                    return summer.total(), k + count + 1, tail, tail < limit, True
+            last = cols.at(int(np.flatnonzero(live)[-1]))
+        summer.extend(x[done:])
+        if cut is not None:
+            return summer.total(), count + cut + 1, 0.0, True, last is not None
+        count += v.size
+    tail = math.inf if last is None else float(_tails(bound, last, _LIBM)[0])
+    return summer.total(), count, tail, False, last is not None
+
+
+# ---------------------------------------------------------------------------
 # Tail bounds
 # ---------------------------------------------------------------------------
 
-def _poly_heat_tail(tail: PolynomialTail, t: float, X: float) -> float:
+def _geometric(term: np.ndarray, rho: np.ndarray, cap: float = 1.0) -> np.ndarray:
+    # term * rho / (1 - rho): the tail of a series whose term ratios stay below rho
+    return np.where(rho < cap, term * rho / (1.0 - rho), math.inf)
+
+
+def _poly_heat_tail(tail: PolynomialTail, t: float, X: np.ndarray, xp) -> np.ndarray:
     # sum_{mu_n > X} M_n e^{-t mu_n} <= A e^{tc} t^{-P} Gamma(P+1, t(c+X))
     A, P, c = tail.coeff, tail.power, tail.offset
     y = t * (c + X)
-    if y > 2.0 * (P + 1.0) + 4.0:
-        # Gamma(P+1, y) <= 2 y^P e^{-y} there, so the bound collapses to
-        # 2 A (c+X)^P e^{-tX} without the overflowing e^{tc} factor
-        return 2.0 * A * (c + X) ** P * math.exp(max(-t * X, -745.0))
-    g = upper_gamma(P + 1.0, y).real
-    return A * math.exp(t * c) * t ** (-P) * g
+    far = y > 2.0 * (P + 1.0) + 4.0
+    out = np.empty(X.shape)
+    # Gamma(P+1, y) <= 2 y^P e^{-y} there, so the bound collapses to
+    # 2 A (c+X)^P e^{-tX} without the overflowing e^{tc} factor
+    out[far] = 2.0 * A * xp.power(c + X[far], P) * xp.exp(np.maximum(-t * X[far], -745.0))
+    if not far.all():
+        out[~far] = A * math.exp(t * c) * t ** (-P) * xp.upper_gamma(P + 1.0, y[~far])
+    return out
 
 
-def _poly_power_tail(tail: PolynomialTail, sigma: float, X: float) -> float:
+def _poly_power_tail(tail: PolynomialTail, sigma: float, X: np.ndarray, xp) -> np.ndarray:
     # sum_{mu_n > X} M_n mu_n^{-sigma} <= sigma A ((c+X)/X)^P X^{P-sigma}/(sigma-P)
     A, P, c = tail.coeff, tail.power, tail.offset
     if sigma <= P:
-        return math.inf
-    return sigma * A * ((c + X) / X) ** P * X ** (P - sigma) / (sigma - P)
+        return np.full(X.shape, math.inf)
+    return sigma * A * xp.power((c + X) / X, P) * xp.power(X, P - sigma) / (sigma - P)
 
 
-def _logsq_heat_tail(tail: LogSquareTail, t: float, n: int, term: float) -> float:
+def _logsq_heat_tail(tail: LogSquareTail, t: float, n, term, xp) -> np.ndarray:
     X = n + tail.shift + 1.0
-    L = math.log(X)
-    if 2.0 * t * L <= 1.0:
-        return math.inf
-    return term * X / (2.0 * t * L - 1.0)
+    lead = 2.0 * t * xp.log(X)
+    return np.where(lead <= 1.0, math.inf, term * X / (lead - 1.0))
+
+
+def _ratio_window():
+    """rho_n for spectra without a tail model: the largest ratio term_k / term_{k-1}
+    between positive terms over the last 8 indices k <= n, or 1 if there is none."""
+    before = np.zeros(8)
+
+    def rho(x: np.ndarray) -> np.ndarray:
+        nonlocal before
+        ext = np.concatenate((before, x))
+        r = np.divide(ext[1:], ext[:-1], out=np.full(ext.size - 1, -math.inf),
+                      where=(ext[:-1] > 0) & (ext[1:] > 0))
+        before = ext[-8:]
+        window = sliding_window_view(r, 8).max(axis=1)
+        return np.where(window > -math.inf, window, 1.0)
+
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -160,58 +305,35 @@ def _logsq_heat_tail(tail: LogSquareTail, t: float, n: int, term: float) -> floa
 # ---------------------------------------------------------------------------
 
 def heat_trace(spectrum: Spectrum, t: float, tol: float = 1e-12,
-               weights: Callable[[int, float], float] | None = None,
-               kernel_weight: float | None = None,
                include_kernel: bool = True) -> TruncationReport:
-    """Tr K e^{-t|D|} = kernel_dim * w(0) + sum_n M_n w_n e^{-t mu_n}.
+    """Tr K e^{-t|D|} = kernel_dim + sum_n M_n e^{-t mu_n}.
 
-    The kernel enters with weight w(0) (default 1), i.e. the convention
+    The kernel enters with weight 1, i.e. the convention
     h(t) = Tr_{(1-P0)H} e^{-t|D|} + dim ker D.
     """
     if t <= 0:
         raise ValueError("heat_trace: need t > 0")
-    meta = spectrum.meta
-    summer = PairwiseSummer()
-    base = 0.0
-    if include_kernel and meta.kernel_dim:
-        w0 = 1.0 if kernel_weight is None else kernel_weight
-        base = meta.kernel_dim * w0
-    tail_model = meta.tail
-    tail_bound = math.inf
-    converged = False
-    certified = tail_model is not None
-    n = -1
-    prev_term = 0.0
-    ratios: list[float] = []
-    for n, e in enumerate(spectrum.entries()):
-        w = 1.0 if weights is None else weights(n, e.value)
-        term = e.mult * w * math.exp(-t * e.value) if t * e.value < 745 else 0.0
-        summer.add(term)
-        if prev_term > 0 and term > 0:
-            ratios.append(abs(term) / prev_term)
-            if len(ratios) > 8:
-                ratios.pop(0)
-        prev_term = abs(term)
-        if n < 4:
-            continue
-        scale = abs(base + summer.total()) + 1.0
-        if isinstance(tail_model, PolynomialTail):
-            tail_bound = _poly_heat_tail(tail_model, t, e.value)
-        elif isinstance(tail_model, ExponentialTail):
-            rho = tail_model.mult_ratio_sup(n) * math.exp(-t * tail_model.gap_inf(n))
-            tail_bound = term * rho / (1.0 - rho) if rho < 1.0 else math.inf
-        elif isinstance(tail_model, LogSquareTail):
-            tail_bound = _logsq_heat_tail(tail_model, t, n, term)
-        else:
-            rho = max(ratios) if ratios else 1.0
-            tail_bound = term * rho / (1.0 - rho) if rho < 0.95 else math.inf
-        if tail_bound < tol * scale:
-            converged = True
-            break
-        if n > _MAX_TERMS:
-            break
-    value = base + summer.total()
-    return TruncationReport(value, n + 1, tail_bound, converged, certified)
+    meta, tail = spectrum.meta, spectrum.meta.tail
+    base = float(meta.kernel_dim) if include_kernel and meta.kernel_dim else 0.0
+    bound = {
+        PolynomialTail: lambda c, xp: _poly_heat_tail(tail, t, c.v, xp),
+        ExponentialTail: lambda c, xp: _geometric(
+            c.x, tail.mult_ratio_sup(c.n) * xp.exp(-t * tail.gap_inf(c.n, c.v))),
+        LogSquareTail: lambda c, xp: _logsq_heat_tail(tail, t, c.n, c.x, xp),
+    }.get(type(tail))
+    window = None
+    if bound is None:           # uncertified: a geometric tail from recent term ratios
+        window = _ratio_window()
+        bound = lambda c, xp: _geometric(c.x, c.aux, cap=0.95)
+
+    def block_terms(n, v, m):
+        x = m * _libm(math.exp, np.maximum(-t * v, -745.0))
+        x[t * v >= 745] = 0.0
+        return x, window(x) if window else None, n >= 4, None
+
+    total, terms, tail_bound, converged, _ = _certified_sum(
+        spectrum, block_terms, bound, tol, base=base)
+    return TruncationReport(base + total, terms, tail_bound, converged, tail is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -219,56 +341,37 @@ def heat_trace(spectrum: Spectrum, t: float, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 def zeta_direct(spectrum: Spectrum, s: complex, tol: float = 1e-12,
-                weights: Callable[[int, float], float] | None = None,
                 include_kernel: bool = True) -> TruncationReport:
     """zeta_D(s) = Tr |D|^{-s} with the D = curly-D + P_0 convention:
     kernel eigenvalues contribute 1^{-s} * kernel_dim, the rest is the sum
-    over nonzero singular values of M_n w_n mu_n^{-s}.
+    over nonzero singular values of M_n mu_n^{-s}.
 
     Refuses (DivergentSeriesError) unless Re(s) > dimension_p strictly.
     """
     s = complex(s)
-    meta = spectrum.meta
+    meta, tail = spectrum.meta, spectrum.meta.tail
     sigma = s.real
     if not math.isfinite(meta.dimension_p) or sigma <= meta.dimension_p:
         raise DivergentSeriesError(
             f"zeta_direct: Re(s)={sigma} <= p={meta.dimension_p}: series diverges")
     log.debug("zeta_direct: convergence margin Re(s) - p = %g",
               sigma - meta.dimension_p)
-    tail_model = meta.tail
-    re_sum = PairwiseSummer()
-    im_sum = PairwiseSummer()
-    if include_kernel and meta.kernel_dim:
-        re_sum.add(float(meta.kernel_dim))
-    tail_bound = math.inf
-    converged = False
-    certified = tail_model is not None
-    n = -1
-    for n, e in enumerate(spectrum.entries()):
-        w = 1.0 if weights is None else weights(n, e.value)
-        term = e.mult * w * complex(e.value) ** (-s)
-        re_sum.add(term.real)
-        im_sum.add(term.imag)
-        if n < 4:
-            continue
-        scale = abs(complex(re_sum.total(), im_sum.total())) + 1.0
-        aterm = abs(e.mult * e.value ** (-sigma))
-        if isinstance(tail_model, PolynomialTail):
-            tail_bound = _poly_power_tail(tail_model, sigma, e.value)
-        elif isinstance(tail_model, ExponentialTail):
-            rho = tail_model.mult_ratio_sup(n) * tail_model.value_ratio_inf(n) ** (-sigma)
-            tail_bound = aterm * rho / (1.0 - rho) if rho < 1.0 else math.inf
-        else:
-            tail_bound = math.inf
-            certified = False
-        if tail_bound < tol * scale:
-            converged = True
-            break
-        if n > _MAX_TERMS:
-            break
-    value = complex(re_sum.total(), im_sum.total())
-    return TruncationReport(value, n + 1, tail_bound, converged, certified,
-                            )
+
+    def block_terms(n, v, m):
+        x = m * v ** (-sigma)
+        return x * np.exp(-1j * s.imag * np.log(v)) if s.imag else x, None, n >= 4, None
+
+    bound = {
+        PolynomialTail: lambda c, xp: _poly_power_tail(tail, sigma, c.v, xp),
+        ExponentialTail: lambda c, xp: _geometric(
+            np.abs(c.m * xp.power(c.v, -sigma)),
+            tail.mult_ratio_sup(c.n) * xp.power(tail.value_ratio_inf(c.n, c.v), -sigma)),
+    }.get(type(tail))
+    total, terms, tail_bound, converged, tested = _certified_sum(
+        spectrum, block_terms, bound, tol,
+        seed=float(meta.kernel_dim) if include_kernel and meta.kernel_dim else None)
+    certified = tail is not None and not (bound is None and tested)
+    return TruncationReport(complex(total), terms, tail_bound, converged, certified)
 
 
 def zeta_richardson(spectrum: Spectrum, s: complex, n_terms: int = 400_000,
@@ -285,31 +388,21 @@ def zeta_richardson(spectrum: Spectrum, s: complex, n_terms: int = 400_000,
         return zeta_direct(spectrum, s, include_kernel=include_kernel).value
     if s.real <= meta.dimension_p:
         raise DivergentSeriesError("zeta_richardson: Re(s) <= p")
-    entries = []
-    for n, e in enumerate(spectrum.entries()):
-        entries.append(e)
-        if n + 1 >= n_terms:
-            break
-    mu_f = entries[-1].value
+    blocks = [block for _, block in zip(block_ranges(n_terms), spectrum.blocks())]
+    values, mults = (np.concatenate(part)[:n_terms] for part in zip(*blocks))
+    mu_f = values[-1]
     cuts = [mu_f / 4.0, mu_f / 2.0, mu_f]
-    partials = []
-    acc = complex(meta.kernel_dim if include_kernel else 0.0)
-    ci = 0
-    for e in entries:
-        while ci < 2 and e.value > cuts[ci]:
-            partials.append(acc)
-            ci += 1
-        acc += e.mult * complex(e.value) ** (-s)
-    while len(partials) < 2:
-        partials.append(acc)
-    partials.append(acc)
+    # running sums, the kernel first; partials stop before the first value past a cut
+    acc = np.cumsum(np.concatenate((
+        [complex(meta.kernel_dim if include_kernel else 0.0)],
+        mults * values.astype(complex) ** (-s))))
+    partials = [acc[np.searchsorted(values, c, side="right")] for c in cuts[:2]] + [acc[-1]]
     beta = s - meta.dimension_p
     # S_inf = S(mu_k) + c1 mu_k^{-beta} + c2 mu_k^{-beta-1}, k = 0,1,2
-    import numpy as _np
-    mus = _np.array(cuts, dtype=complex)
-    A = _np.vstack([_np.ones(3, dtype=complex), mus ** (-beta),
-                    mus ** (-beta - 1.0)]).T
-    sol = _np.linalg.solve(A, _np.array(partials, dtype=complex))
+    mus = np.array(cuts, dtype=complex)
+    A = np.vstack([np.ones(3, dtype=complex), mus ** (-beta),
+                   mus ** (-beta - 1.0)]).T
+    sol = np.linalg.solve(A, np.array(partials, dtype=complex))
     return complex(sol[0])
 
 
@@ -323,63 +416,41 @@ def spectral_action_direct(spectrum: Spectrum, f, lam: float,
 
     `f` must expose `evaluate`, `f0` and `decay_certificate` (CutoffFunction,
     SchwartzCutoff or IndicatorCutoff); a bare callable is refused since no
-    truncation can be certified.
+    truncation can be certified.  Without a sharp edge, the certificate must
+    decay: p = inf is refused, and on a spectrum with polynomial growth a
+    decay p <= dimension_p diverges (DivergentSeriesError).
     """
     if lam <= 0:
         raise ValueError("spectral_action_direct: need Lambda > 0")
     if not hasattr(f, "decay_certificate"):
         raise TypeError("spectral_action_direct: cutoff lacks a decay certificate")
     p_f, C_f, x0_f = f.decay_certificate
-    meta = spectrum.meta
-    summer = PairwiseSummer()
+    meta, tail = spectrum.meta, spectrum.meta.tail
+    edge = getattr(f, "edge", None)
+    if edge is None and math.isinf(p_f):
+        raise ValueError("spectral_action_direct: decay p = inf needs a sharp edge")
+    if edge is None and isinstance(tail, PolynomialTail) and p_f <= meta.dimension_p:
+        raise DivergentSeriesError(
+            f"spectral_action_direct: cutoff decay p={p_f} <= p={meta.dimension_p}: "
+            "series diverges")
     base = meta.kernel_dim * f.f0() if meta.kernel_dim else 0.0
-    tail_model = meta.tail
-    sharp_edge = getattr(f, "edge", None)
-    tail_bound = math.inf
-    converged = False
-    certified = True
-    n = -1
-    for n, e in enumerate(spectrum.entries()):
-        x = e.value / lam
-        if sharp_edge is not None and x > sharp_edge:
-            tail_bound = 0.0
-            converged = True
-            break
-        term = e.mult * float(f.evaluate(x))
-        summer.add(term)
-        if n < 4 or x < x0_f:
-            continue
-        scale = abs(base + summer.total()) + 1.0
-        if math.isinf(p_f) and sharp_edge is None:
-            # compactly supported measure side never happens; inf p means
-            # faster-than-any-power decay: use a generous power p = 16
-            p_eff, C_eff = 16.0, _power_envelope_constant(f, 16.0, x)
-        else:
-            p_eff, C_eff = p_f, C_f
-        if isinstance(tail_model, PolynomialTail):
-            zt = _poly_power_tail(tail_model, p_eff, e.value)
-            tail_bound = C_eff * lam ** p_eff * zt
-        elif isinstance(tail_model, ExponentialTail):
-            rho = tail_model.mult_ratio_sup(n) * tail_model.value_ratio_inf(n) ** (-p_eff)
-            aterm = e.mult * C_eff * x ** (-p_eff)
-            tail_bound = aterm * rho / (1.0 - rho) if rho < 1.0 else math.inf
-        else:
-            certified = False
-            tail_bound = math.inf
-        if tail_bound < tol * scale:
-            converged = True
-            break
-        if n > _MAX_TERMS:
-            break
-    value = base + summer.total()
-    return TruncationReport(value, n + 1, tail_bound, converged, certified)
 
+    def block_terms(n, v, m):
+        x = v / lam
+        beyond = np.flatnonzero(x > edge) if edge is not None else ()
+        return (m * f.evaluate(x), x, (n >= 4) & (x >= x0_f),
+                int(beyond[0]) if len(beyond) else None)
 
-def _power_envelope_constant(f, p: float, x_from: float) -> float:
-    # certified for completely monotone-type envelopes sampled forward
-    xs = [x_from * (1.1 ** k) for k in range(40)]
-    vals = [abs(float(f.evaluate(x))) * x ** p for x in xs]
-    return 1.5 * max(vals)
+    bound = None if edge is not None else {         # an edge ends the sum
+        PolynomialTail: lambda c, xp: C_f * lam ** p_f * _poly_power_tail(tail, p_f, c.v, xp),
+        ExponentialTail: lambda c, xp: _geometric(
+            c.m * C_f * xp.power(c.aux, -p_f),
+            tail.mult_ratio_sup(c.n) * xp.power(tail.value_ratio_inf(c.n, c.v), -p_f)),
+    }.get(type(tail))
+    total, terms, tail_bound, converged, tested = _certified_sum(
+        spectrum, block_terms, bound, tol, base=base)
+    certified = isinstance(tail, (PolynomialTail, ExponentialTail)) or not tested
+    return TruncationReport(base + total, terms, tail_bound, converged, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +460,11 @@ def _power_envelope_constant(f, p: float, x_from: float) -> float:
 def counting(spectrum: Spectrum, lam: float) -> int:
     """N(Lambda) = total multiplicity of singular values <= Lambda (kernel included)."""
     total = spectrum.meta.kernel_dim
-    for e in spectrum.entries():
-        if e.value > lam:
+    for v, m in spectrum.blocks():
+        k = int(np.searchsorted(v, lam, side="right"))
+        total += int(m[:k].sum())
+        if k < v.size:
             break
-        total += e.mult
     return total
 
 
@@ -448,16 +520,16 @@ def dixmier_estimate(spectrum: Spectrum, exponent: float, N: int) -> float:
         raise ValueError("dixmier_estimate: need N >= 8")
 
     def tr_over_log(cut: int) -> float:
-        acc = 0.0
-        count = 0
-        for e in spectrum.entries():
-            v = e.value ** (-exponent)
-            if count + e.mult >= cut:
-                acc += (cut - count) * v
-                count = cut
-                break
-            acc += e.mult * v
-            count += e.mult
+        acc, count = 0.0, 0
+        for v, m in spectrum.blocks():
+            w = v ** (-exponent)
+            reached = count + np.cumsum(m)
+            k = int(np.searchsorted(reached, cut))      # first entry reaching cut
+            if k < v.size:
+                before = count if k == 0 else int(reached[k - 1])
+                return float(acc + np.sum(m[:k] * w[:k]) + (cut - before) * w[k]) / math.log(cut)
+            acc += float(np.sum(m * w))
+            count = int(reached[-1])
         return acc / math.log(cut)
 
     r1, r2 = tr_over_log(N), tr_over_log(N // 2)

@@ -1,9 +1,10 @@
 """Eigenvalue/multiplicity sequences for the catalog of spectral triples.
 
 A `Spectrum` is a lazily generated, strictly increasing sequence of
-(singular value, multiplicity) pairs together with metadata: the summability
-dimension p, the kernel dimension, and a tail model used by the summation
-engine to certify truncations.
+(singular value, multiplicity) pairs, delivered in numpy blocks whose sizes
+depend only on the index, together with metadata: the summability dimension
+p, the kernel dimension, and a tail model used by the summation engine to
+certify truncations.
 
 Catalog:
   * round spheres S^d (trivial/nontrivial spin for d = 1),
@@ -19,6 +20,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -64,12 +66,13 @@ class ExponentialTail:
     """Geometric tails: sup_{m>=n} M_{m+1}/M_m and inf_{m>=n} of gaps/ratios.
 
     `mult_ratio_sup(n)` bounds the multiplicity growth from index n on,
-    `gap_inf(n)` the additive gap mu_{n+1}-mu_n, and `value_ratio_inf(n)`
-    the multiplicative gap mu_{n+1}/mu_n.
+    `gap_inf(n, mu)` the additive gap mu_{n+1}-mu_n, and
+    `value_ratio_inf(n, mu)` the multiplicative gap mu_{n+1}/mu_n.  n is a
+    run of consecutive indices and mu their values mu_n.
     """
-    mult_ratio_sup: Callable[[int], float]
-    gap_inf: Callable[[int], float]
-    value_ratio_inf: Callable[[int], float]
+    mult_ratio_sup: Callable[[np.ndarray], np.ndarray]
+    gap_inf: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    value_ratio_inf: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,39 @@ class SpectrumMeta:
     tail: object | None = None  # PolynomialTail | ExponentialTail | LogSquareTail
 
 
+Block = tuple[np.ndarray, np.ndarray]   # (values float64, multiplicities)
+
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 1 << 14
+
+
+def block_ranges(stop: int | None = None) -> Iterator[tuple[int, int]]:
+    """Index ranges [lo, hi) of the blocks: 64 entries, doubling up to 2^14.
+
+    The schedule depends on the index alone.  Short sums stay in the first
+    block; the cap keeps a block's working arrays near a megabyte.
+    """
+    lo, size = 0, _FIRST_BLOCK
+    while stop is None or lo < stop:
+        hi = lo + size if stop is None else min(lo + size, stop)
+        yield lo, hi
+        lo, size = hi, min(2 * size, _MAX_BLOCK)
+
+
+def _sliced(values: np.ndarray, mults: np.ndarray) -> Callable[[], Iterator[Block]]:
+    """Block factory over a finite spectrum held in arrays."""
+    def gen() -> Iterator[Block]:
+        for lo, hi in block_ranges(values.size):
+            yield values[lo:hi], mults[lo:hi]
+    return gen
+
+
 class Spectrum:
     """Lazy strictly-increasing (value, mult) sequence with metadata.
+
+    The sequence comes as blocks: `blocks()` returns a fresh iterator of
+    (values, mults) array pairs cut by `block_ranges`; `entries()` is a view
+    of the same sequence one `SpectrumEntry` at a time.
 
     `heat0_closed`, when set by a factory, is an exact closed form of the
     kernel-free heat trace sum_n' M_n e^{-t mu_n} (e.g. the binomial
@@ -95,25 +129,24 @@ class Spectrum:
     arbitrarily small t.
     """
 
-    def __init__(self, meta: SpectrumMeta, factory: Callable[[], Iterator[SpectrumEntry]],
+    def __init__(self, meta: SpectrumMeta, blocks: Callable[[], Iterator[Block]],
                  heat0_closed: Callable[[float], float] | None = None):
         self.meta = meta
-        self._factory = factory
+        self._blocks = blocks
         self.heat0_closed = heat0_closed
 
+    def blocks(self) -> Iterator[Block]:
+        return self._blocks()
+
     def entries(self) -> Iterator[SpectrumEntry]:
-        return self._factory()
+        for values, mults in self._blocks():
+            yield from map(SpectrumEntry, values.tolist(), map(int, mults.tolist()))
 
     def __iter__(self) -> Iterator[SpectrumEntry]:
-        return self._factory()
+        return self.entries()
 
     def take(self, n: int) -> list[SpectrumEntry]:
-        out = []
-        for e in self._factory():
-            out.append(e)
-            if len(out) >= n:
-                break
-        return out
+        return list(islice(self.entries(), n))
 
     def squared(self) -> "Spectrum":
         """Spectrum of D^2: singular values squared, dimension halved."""
@@ -124,31 +157,27 @@ class Spectrum:
             tail = PolynomialTail(tail.coeff, tail.power / 2.0,
                                   offset=(tail.offset + 1.0) ** 2)
         elif isinstance(tail, ExponentialTail):
+            # the block holds mu_n^2, and sqrt(fl(mu^2)) is mu exactly
             base = tail
 
-            def gap_inf(n: int, _b=base, _f=self._factory) -> float:
+            def gap_inf(n, mu_sq, _b=base):
                 # (mu_{n+1}^2 - mu_n^2) >= gap * (mu_{n+1} + mu_n) >= gap * 2 mu_n
-                it = _f()
-                mu = None
-                for i, e in enumerate(it):
-                    if i == n:
-                        mu = e.value
-                        break
-                g = _b.gap_inf(n)
-                return g * 2.0 * (mu if mu is not None else 0.0)
+                mu = np.sqrt(mu_sq)
+                return _b.gap_inf(n, mu) * 2.0 * mu
 
             tail = ExponentialTail(
                 mult_ratio_sup=base.mult_ratio_sup,
                 gap_inf=gap_inf,
-                value_ratio_inf=lambda n, _b=base: _b.value_ratio_inf(n) ** 2,
+                value_ratio_inf=lambda n, mu_sq, _b=base:
+                    _b.value_ratio_inf(n, np.sqrt(mu_sq)) ** 2,
             )
         new_meta = SpectrumMeta(meta.dimension_p / 2.0, meta.kernel_dim,
                                 meta.label + "^2", tail)
-        fac = self._factory
+        base_blocks = self._blocks
 
-        def gen() -> Iterator[SpectrumEntry]:
-            for e in fac():
-                yield SpectrumEntry(e.value * e.value, e.mult)
+        def gen() -> Iterator[Block]:
+            for values, mults in base_blocks():
+                yield values * values, mults
 
         return Spectrum(new_meta, gen)
 
@@ -191,11 +220,9 @@ def sphere_spectrum(d: int, spin: str = "nontrivial", n_max: int | None = None) 
             1.0, 1, "S^1 (trivial spin)",
             tail=PolynomialTail(coeff=2.0, power=1.0, offset=1.0))
 
-        def gen() -> Iterator[SpectrumEntry]:
-            n = 1
-            while n_max is None or n <= n_max:
-                yield SpectrumEntry(float(n), 2)
-                n += 1
+        def gen() -> Iterator[Block]:
+            for lo, hi in block_ranges(n_max):
+                yield np.arange(lo + 1.0, hi + 1.0), np.full(hi - lo, 2, dtype=np.int64)
 
         def heat0(t: float) -> float:
             # 2 sum_{n>=1} e^{-tn} = 2 e^{-t}/(1 - e^{-t})
@@ -209,11 +236,20 @@ def sphere_spectrum(d: int, spin: str = "nontrivial", n_max: int | None = None) 
     meta = SpectrumMeta(float(d), 0, f"S^{d}",
                         tail=PolynomialTail(coeff=coeff, power=float(d), offset=float(d)))
 
-    def gen() -> Iterator[SpectrumEntry]:
-        n = 0
-        while n_max is None or n <= n_max:
-            yield SpectrumEntry(n + d / 2.0, m * math.comb(n + d - 1, d - 1))
-            n += 1
+    def mults(n: np.ndarray) -> np.ndarray:
+        # C(n+i, i) = C(n+i-1, i-1) (n+i) / i is exact in int64 while the
+        # products stay below 2^63; past that, from Python integers
+        if d * m * math.comb(int(n[-1]) + d - 1, d - 1) >= 2 ** 63:
+            return np.array([m * math.comb(k + d - 1, d - 1) for k in n.tolist()], dtype=float)
+        c = np.ones_like(n)
+        for i in range(1, d):
+            c = c * (n + i) // i
+        return m * c
+
+    def gen() -> Iterator[Block]:
+        for lo, hi in block_ranges(None if n_max is None else n_max + 1):
+            n = np.arange(lo, hi)
+            yield n + d / 2.0, mults(n)
 
     def heat0(t: float) -> float:
         # m sum_n C(n+d-1, d-1) e^{-t(n + d/2)} = m e^{-td/2} (1-e^{-t})^{-d}
@@ -298,18 +334,10 @@ def torus_spectrum(d: int, spin: tuple[int, ...] | None = None,
     counts = shifted_lattice_sq4_counts(d, s_bits, m_max4)
     meta = SpectrumMeta(float(d), kernel, f"T^{d} spin {''.join(map(str, s_bits))}",
                         tail=_lattice_tail(d, two_pi=True))
-
-    def gen() -> Iterator[SpectrumEntry]:
-        for m4 in range(1, m_max4 + 1):
-            c = int(counts[m4])
-            if c == 0:
-                continue
-            val = 2.0 * math.pi * 0.5 * math.sqrt(m4)
-            if val > 2.0 * math.pi * radius_cut + 1e-12:
-                return
-            yield SpectrumEntry(val, c * mult)
-
-    return Spectrum(meta, gen)
+    m4 = np.flatnonzero(counts[1:]) + 1
+    values = 2.0 * math.pi * 0.5 * np.sqrt(m4)
+    keep = values <= 2.0 * math.pi * radius_cut + 1e-12
+    return Spectrum(meta, _sliced(values[keep], counts[m4[keep]] * mult))
 
 
 def nctorus_spectrum(d: int, radius_cut: float = 10.0) -> Spectrum:
@@ -324,18 +352,10 @@ def nctorus_spectrum(d: int, radius_cut: float = 10.0) -> Spectrum:
     counts = lattice_sq_counts(d, m_max)
     meta = SpectrumMeta(float(d), mult, f"T^{d}_Theta",
                         tail=_lattice_tail(d, two_pi=False))
-
-    def gen() -> Iterator[SpectrumEntry]:
-        for m in range(1, m_max + 1):
-            c = int(counts[m])
-            if c == 0:
-                continue
-            val = math.sqrt(m)
-            if val > radius_cut + 1e-12:
-                return
-            yield SpectrumEntry(val, c * mult)
-
-    return Spectrum(meta, gen)
+    m = np.flatnonzero(counts[1:]) + 1
+    values = np.sqrt(m)
+    keep = values <= radius_cut + 1e-12
+    return Spectrum(meta, _sliced(values[keep], counts[m[keep]] * mult))
 
 
 # ---------------------------------------------------------------------------
@@ -351,33 +371,53 @@ def podles_spectrum(params: PodlesParams, simplified: bool = False,
     so that mu_n(D_q) = mu_n^S - u^2 / mu_n^S.  Both are 0-dimensional.
     """
     q, u, aw = params.q, params.u, abs(params.w)
+    L = -math.log(q)
 
     def mu(n: int) -> float:
-        if simplified:
-            return u * q ** (-(n + 1))
-        return aw * q_number(n + 1, q)
+        try:
+            if simplified:
+                return u * q ** (-(n + 1))
+            return aw * q_number(n + 1, q)
+        except OverflowError:
+            return math.inf
 
-    def mult_ratio_sup(n: int) -> float:
+    def mult_ratio_sup(n: np.ndarray) -> np.ndarray:
         return (n + 2) / (n + 1)
 
-    def gap_inf(n: int) -> float:
-        return mu(n + 1) - mu(n)
+    def after(n: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.concatenate((v[1:], [mu(int(n[-1]) + 1)]))     # mu_{n+1}
 
-    def value_ratio_inf(n: int) -> float:
-        return mu(n + 1) / mu(n)
+    def gap_inf(n: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return after(n, v) - v
+
+    def value_ratio_inf(n: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return after(n, v) / v
 
     tail = ExponentialTail(mult_ratio_sup, gap_inf, value_ratio_inf)
     label = f"Podles q={q} ({'D_q^S' if simplified else 'D_q'})"
     meta = SpectrumMeta(0.0, 0, label, tail=tail)
 
-    def gen() -> Iterator[SpectrumEntry]:
-        n = 0
-        while n_max is None or n <= n_max:
-            v = mu(n)
-            if math.isinf(v):
+    def block(lo: int, hi: int) -> np.ndarray:
+        # mu on a block, mapping libm's pow or sinh as the scalar formula does
+        x = np.arange(lo + 1.0, hi + 1.0)
+        try:
+            if simplified:
+                return u * np.fromiter(map(math.pow, repeat(q), (-x).tolist()), float, x.size)
+            if x[-1] * L < 700.0:       # q_number's sinh branch
+                return aw * (np.fromiter(map(math.sinh, (x * L).tolist()), float, x.size)
+                             / math.sinh(L))
+        except OverflowError:
+            pass
+        return np.fromiter(map(mu, range(lo, hi)), float, hi - lo)
+
+    def gen() -> Iterator[Block]:
+        for lo, hi in block_ranges(None if n_max is None else n_max + 1):
+            values = block(lo, hi)
+            end = int(np.isinf(values).argmax()) if np.isinf(values[-1]) else hi - lo
+            if end:
+                yield values[:end], 4 * np.arange(lo + 1, lo + end + 1)
+            if end < hi - lo:
                 return
-            yield SpectrumEntry(v, 4 * (n + 1))
-            n += 1
 
     return Spectrum(meta, gen)
 
@@ -445,22 +485,22 @@ def load_spectrum_jsonl(path: str) -> Spectrum:
     for key in ("p", "kernel", "label"):
         if key not in header:
             raise ValueError(f"load_spectrum_jsonl: header missing {key!r}")
-    entries: list[SpectrumEntry] = []
-    prev = 0.0
+    values: list[float] = []
+    mults: list[int] = []
     for i, ln in enumerate(lines[1:], start=2):
         row = json.loads(ln)
         v, mlt = float(row["value"]), int(row["mult"])
         if v <= 0:
             raise ValueError(f"load_spectrum_jsonl: line {i}: value must be > 0")
-        if entries and v <= prev:
+        if values and v <= values[-1]:
             raise ValueError(f"load_spectrum_jsonl: line {i}: values must be strictly increasing")
         if mlt < 1:
             raise ValueError(f"load_spectrum_jsonl: line {i}: mult must be >= 1")
-        entries.append(SpectrumEntry(v, mlt))
-        prev = v
+        values.append(v)
+        mults.append(mlt)
     meta = SpectrumMeta(float(header["p"]), int(header["kernel"]),
                         str(header["label"]), tail=None)
-    return Spectrum(meta, lambda: iter(entries))
+    return Spectrum(meta, _sliced(np.array(values, dtype=float), np.array(mults, dtype=np.int64)))
 
 
 def save_spectrum_jsonl(path: str, spectrum: Spectrum, n: int) -> None:

@@ -62,6 +62,13 @@ def test_zeta_divergence_is_argument_error(capsys):
     assert "diverges" in err
 
 
+def test_action_divergence_is_argument_error(capsys):
+    code, out, err = run_cli(["action", "--triple", "s3", "--cutoff", "nulltaylor",
+                              "--lambda-grid", "10:10:1"], capsys)
+    assert code == 2
+    assert "diverges" in err
+
+
 def test_action_sharp(capsys):
     code, out, err = run_cli(["action", "--triple", "s1", "--cutoff", "sharp",
                               "--lambda-grid", "5.5:5.5:1"], capsys)
@@ -138,11 +145,3 @@ def test_compare_expansion_route(capsys):
     rows = [r.split(",") for r in lines[1:]]
     for r in rows:
         assert abs(float(r[3])) / abs(float(r[1])) < 1e-6
-
-
-def test_thread_cap_env(monkeypatch):
-    from sal.cli import thread_cap
-    monkeypatch.setenv("SAL_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("SAL_THREADS", "junk")
-    assert thread_cap() == 1

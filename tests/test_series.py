@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from sal.cutoffs import IndicatorCutoff, exp_cutoff, gaussian_cutoff
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sal.cutoffs import (Atom, CutoffFunction, IndicatorCutoff, exp_cutoff,
+                         gaussian_cutoff, null_taylor_cutoff)
 from sal.series import (DivergentSeriesError, GeneralDirichletSeries,
                         PairwiseSummer, abscissa_estimate, averaged_counting,
                         counting, dixmier_estimate, heat_trace, mellin_check,
                         partial_trace, spectral_action_direct, zeta_direct,
                         zeta_richardson)
 from sal.special import riemann_zeta
-from sal.spectra import (LogSquareTail, PodlesParams, Spectrum, SpectrumEntry,
-                         SpectrumMeta, nctorus_spectrum, podles_spectrum,
+from sal.spectra import (LogSquareTail, PodlesParams, Spectrum, SpectrumMeta,
+                         block_ranges, nctorus_spectrum, podles_spectrum,
                          sphere_spectrum)
 
 
@@ -19,10 +23,9 @@ def log_square_spectrum() -> Spectrum:
     meta = SpectrumMeta(math.inf, 0, "log^2 n", tail=LogSquareTail(shift=2.0))
 
     def gen():
-        n = 0
-        while True:
-            yield SpectrumEntry(math.log(n + 2.0) ** 2, 1)
-            n += 1
+        for lo, hi in block_ranges():
+            yield (np.array([math.log(n + 2.0) ** 2 for n in range(lo, hi)]),
+                   np.ones(hi - lo, dtype=np.int64))
 
     return Spectrum(meta, gen)
 
@@ -157,6 +160,20 @@ def test_action_refuses_uncertified():
         spectral_action_direct(s2, lambda x: math.exp(-x), 3.0)
 
 
+def test_action_refuses_divergent_cutoffs():
+    # nulltaylor decays like x^{-5/4}: no tail bound on S^3 (p = 3) ever certifies
+    with pytest.raises(DivergentSeriesError):
+        spectral_action_direct(sphere_spectrum(3), null_taylor_cutoff(), 10.0)
+    # the same decay is summable on S^1 (p = 1) and on Podles spheres (p = 0)
+    pp = PodlesParams(0.5, 1.0)
+    assert spectral_action_direct(podles_spectrum(pp, simplified=True),
+                                  null_taylor_cutoff(), 10.0).converged
+    # decay p = inf is a promise only a sharp edge keeps
+    flat = CutoffFunction((Atom(1.0, 1.0),), math.inf, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        spectral_action_direct(sphere_spectrum(3), flat, 10.0)
+
+
 # ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------
@@ -249,6 +266,31 @@ def test_pairwise_summer_chunk_invariance():
     assert all(t == totals[0] for t in totals)
     ref = math.fsum(xs)
     assert abs(totals[0] - ref) < 1e-14 * max(1.0, abs(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 4000), seed=st.integers(0, 2 ** 32 - 1),
+       cuts=st.lists(st.integers(0, 4000), max_size=6), lanes=st.sampled_from((1, 16)),
+       start=st.integers(0, 200), imag=st.booleans())
+def test_pairwise_summer_extend_matches_add(size, seed, cuts, lanes, start, imag):
+    """`extend`, lane-wise over whole leaves, is `add` term by term, bit for bit."""
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=start + size) * np.exp(rng.uniform(-30.0, 30.0, start + size))
+    if imag:                        # complex terms, as zeta values off the real axis
+        xs = xs + 1j * xs[::-1]
+    one, many = PairwiseSummer(), PairwiseSummer()
+    many._LANES = lanes
+    for x in xs[:start].tolist():   # both start inside some leaf
+        one.add(x)
+        many.add(x)
+    xs = xs[start:]
+    for lo, hi in zip([0] + sorted(cuts), sorted(cuts) + [xs.size]):
+        many.extend(xs[lo:hi])
+        for x in xs[lo:hi].tolist():
+            one.add(x)
+        assert (many._stack, many._acc, many._comp, many._in_block, many.count) == \
+            (one._stack, one._acc, one._comp, one._in_block, one.count)
+        assert many.total() == one.total()
 
 
 def test_heat_trace_rerun_identical():
