@@ -28,14 +28,14 @@ class ResolvedTriple:
     radius_data: tuple | None = None
 
 
-def default_scale(p: float, n_strips: int = 24, step: float = 1.0) -> list[float]:
-    """Strip boundaries r_k = -p - 1/4 + k*step.
+def default_scale(p: float, n_strips: int = 24) -> list[float]:
+    """Strip boundaries r_k = -p - 1/4 + k.
 
     The quarter offset keeps every line -r_k away from the integer and
     half-integer real parts where catalog poles live.
     """
     r0 = -p - 0.25
-    return [r0 + step * k for k in range(n_strips)]
+    return [r0 + k for k in range(n_strips)]
 
 
 def resolve_triple(triple_id: str, lattice_cut: float = 80.0) -> ResolvedTriple:

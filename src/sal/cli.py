@@ -17,7 +17,6 @@ import sys
 from . import asymptotics, finite, series
 from .catalog import default_scale, resolve_triple
 from .cutoffs import parse_cutoff
-from .oracles import catalog_zeta
 
 __all__ = ["main"]
 
@@ -190,12 +189,12 @@ def _cmd_finite(args) -> int:
             rows.append({"check": k, "value": float(v) if isinstance(v, float) else v})
     if args.check in ("all", "gauge") and triple.gens:
         import numpy as np
-        rng = np.random.default_rng(7)
         a, b = triple.gens[0], triple.gens[-1]
         A = finite.GaugePotential.from_witnesses(triple.D, [(1.0, a, b)])
         A = finite.GaugePotential((A.matrix + A.matrix.conj().T) / 2.0, A.witnesses)
-        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, triple.dim))
-        u = np.diag(phases)
+        # a unitary of the algebra: u = exp(i h), h the Hermitian part of a
+        w, V = np.linalg.eigh((a + a.conj().T) / 2.0)
+        u = (V * np.exp(1j * w)) @ V.conj().T
         try:
             _, resid = finite.gauge_transform(triple, A, u)
             rows.append({"check": "gauge_covariance_residual", "value": resid})

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,6 @@ __all__ = [
     "product",
     "parse_cutoff",
 ]
-
-_INF = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +110,7 @@ class GammaDensity:
         # Gauss-Legendre on [0, span] against the gamma pdf
         span = self.shift + (self.r + 40.0) / self.rate
         x, wq = np.polynomial.legendre.leggauss(n)
-        s = 0.5 * span * (x + 1.0) + self.shift * 0.0
-        s = s + self.shift
+        s = 0.5 * span * (x + 1.0) + self.shift
         wq = wq * 0.5 * span
         lpdf = (self.r * math.log(self.rate) + (self.r - 1.0) * np.log(np.maximum(s - self.shift, 1e-300))
                 - self.rate * (s - self.shift) - log_gamma(self.r).real)
@@ -261,7 +258,6 @@ class CutoffFunction:
     decay_x0: float
     label: str = ""
     factors: tuple = ()   # nonempty for products: pointwise f = prod of factors
-    moment_bound_order: float = _INF
 
     # -- pointwise -----------------------------------------------------------
     def evaluate(self, x):
@@ -411,21 +407,20 @@ def powerlaw_cutoff(a: float, b: float, r: float) -> CutoffFunction:
         raise ValueError("powerlaw_cutoff: need a, b, r > 0")
     comp = GammaDensity(r=r, rate=b / a, weight=b ** (-r))
     return CutoffFunction((comp,), r, a ** (-r), 1e-6,
-                          label=f"powerlaw:{a:g},{b:g},{r:g}",
-                          moment_bound_order=_INF)
+                          label=f"powerlaw:{a:g},{b:g},{r:g}")
 
 
-def null_taylor_cutoff(y_max: float = 140.0, per_unit: int = 12) -> CutoffFunction:
+def null_taylor_cutoff() -> CutoffFunction:
     """Cut-off with all measure moments zero: phi(s) = e^{-s^{1/4}} sin(s^{1/4}).
 
     Tabulated in the substituted variable s = y^4 (integrand e^{-y} sin(y) 4y^3)
     so that the oscillatory cancellations are resolved by the quadrature.
     f(x) = O(x^{-5/4}); the certificate constant is fitted on a grid.
     """
-    xg, wg = np.polynomial.legendre.leggauss(per_unit)
+    # 12-point Gauss-Legendre on each unit cell of y in [0, 140]
+    xg, wg = np.polynomial.legendre.leggauss(12)
     nodes, weights = [], []
-    n_cells = int(y_max)
-    for i in range(n_cells):
+    for i in range(140):
         y = 0.5 * (xg + 1.0) + i
         w = 0.5 * wg
         s = y ** 4
@@ -459,18 +454,18 @@ def gaussian_cutoff(width: float = 1.0) -> SchwartzCutoff:
 # Products (measure convolution)
 # ---------------------------------------------------------------------------
 
-def _to_quad(comp, n_nodes: int = 160) -> QuadDensity:
+def _to_quad(comp) -> QuadDensity:
     if isinstance(comp, QuadDensity):
         return comp
     if isinstance(comp, Atom):
         return QuadDensity((comp.location,), (comp.weight,))
     if isinstance(comp, WindowDensity):
-        xg, wg = np.polynomial.legendre.leggauss(n_nodes)
+        xg, wg = np.polynomial.legendre.leggauss(160)
         s = 0.5 * (comp.b - comp.a) * (xg + 1.0) + comp.a
         w = 0.5 * (comp.b - comp.a) * wg * comp.weight
         return QuadDensity(tuple(s.tolist()), tuple(w.tolist()))
     if isinstance(comp, GammaDensity):
-        s, w = comp._quad_nodes(n_nodes)
+        s, w = comp._quad_nodes(160)
         return QuadDensity(tuple(s.tolist()), tuple(w.tolist()))
     raise TypeError(f"cannot tabulate {type(comp)!r}")
 

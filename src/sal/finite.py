@@ -85,9 +85,8 @@ class FiniteTriple:
         Ju = self.J_unitary
         return Ju @ np.conj(M) @ Ju.conj().T
 
-    def kernel_projector(self, D: np.ndarray | None = None) -> np.ndarray:
-        D = self.D if D is None else D
-        vals, vecs = np.linalg.eigh(D)
+    def kernel_projector(self) -> np.ndarray:
+        vals, vecs = np.linalg.eigh(self.D)
         tol = _KERNEL_TOL * max(1.0, float(np.max(np.abs(vals))))
         cols = vecs[:, np.abs(vals) < tol]
         return cols @ cols.conj().T
@@ -253,16 +252,6 @@ class HPolynomial:
     def degree(self) -> int:
         return self.n + len(self.coeffs) - 1
 
-    def eval(self, s: float) -> float:
-        acc = Fraction(0)
-        for j, c in enumerate(self.coeffs):
-            acc += c * Fraction(s) ** (self.n + j)
-        return float(acc)
-
-    def eval_fraction(self, s: Fraction) -> Fraction:
-        return sum((c * s ** (self.n + j) for j, c in enumerate(self.coeffs)),
-                   Fraction(0))
-
 
 def _stirling_first_signed(n: int) -> list[Fraction]:
     """Coefficients of x(x-1)...(x-n+1) = sum_j s(n,j) x^j."""
@@ -373,7 +362,7 @@ def commuting_check(n: int) -> bool:
             return False
         for j, c in enumerate(poly):
             acc[j] += c
-    acc = acc[: max(len(target), 1)] + [Fraction(0)] * 0
+    acc = acc[: max(len(target), 1)]
     for j in range(max(len(acc), len(target))):
         a = acc[j] if j < len(acc) else Fraction(0)
         b = target[j] if j < len(target) else Fraction(0)

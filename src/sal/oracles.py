@@ -127,9 +127,9 @@ class CatalogZeta:
 
 
 def _taylor_datum(fn: Callable[[complex], complex], z: complex,
-                  n_coeffs: int = 2, radius: float = 0.25) -> PoleDatum:
+                  n_coeffs: int = 2) -> PoleDatum:
     """Regular-point Laurent data {0: fn(z), 1: fn'(z), ...} by a circle fit."""
-    n_nodes = 64
+    n_nodes, radius = 64, 0.25
     vals = [fn(z + radius * cmath.exp(2j * math.pi * m / n_nodes))
             for m in range(n_nodes)]
     lau = {}
@@ -201,13 +201,13 @@ def _podles_s_zeta(s: complex, params: PodlesParams) -> complex:
     return 4.0 * cmath.exp(-s * math.log(u / q)) / (1.0 - cmath.exp(s * math.log(q))) ** 2
 
 
-def _podles_full_zeta(s: complex, params: PodlesParams, n_terms: int = 200) -> complex:
+def _podles_full_zeta(s: complex, params: PodlesParams) -> complex:
     q, w = params.q, params.w
     s = complex(s)
     pref = 4.0 * cmath.exp(s * math.log((1.0 - q * q) / abs(w)))
     acc = 0.0 + 0.0j
     poch = 1.0 + 0.0j  # (s)_n / n!
-    for n in range(n_terms):
+    for n in range(200):
         if n > 0:
             poch *= (s + n - 1.0) / n
         term = poch * q ** (2 * n) / (1.0 - cmath.exp((s + 2 * n) * math.log(q))) ** 2
@@ -217,24 +217,19 @@ def _podles_full_zeta(s: complex, params: PodlesParams, n_terms: int = 200) -> c
     return pref * acc
 
 
-def _podles_s_pole_datum(params: PodlesParams, k2: int, j: int) -> PoleDatum:
-    """Laurent data of the simplified-Podles zeta at z = -2 k2 + kappa j.
+def _podles_s_pole_datum(params: PodlesParams, j: int) -> PoleDatum:
+    """Laurent data of the simplified-Podles zeta at its pole z = kappa j.
 
     Around z:  zeta(z + e) = B e^{-2} (1 + e L)^{... } with the exact
     expansion  4 A (e ln q)^{-2} e^{-e ln(u/q)} e^{e ln q} (1 - e ln q + (5/12) e^2 ln^2 q)
-    ... assembled to order e^0;  A = (u/q)^{-z} q-phase.
+    ... assembled to order e^0;  A = (u/q)^{-z} q-phase.  The poles of the
+    basic (n = 0) series sit on Re(z) = 0, where 1 - q^z vanishes.
     """
     q, u = params.q, params.u
     lnq, lnu = math.log(q), math.log(u)
-    kap = params.kappa
-    z = complex(-2 * k2) + kap * j
-    # (u q^{-1})^{-z-e} with q^{-z} = q^{2k2} (kappa-part has q^{kappa j} = 1)
+    z = 0.0 + params.kappa * j          # 0.0 + keeps the real part +0.0
+    # (u q^{-1})^{-z-e} (kappa-part has q^{kappa j} = 1)
     A = cmath.exp(-z * math.log(u / q))
-    # 1 - q^{s} near s = z: q^z = q^{-2k2} only if z in kappa Z; here the pole
-    # exists only when q^{z+2k2'} = 1; for the basic zeta (n=0 series) poles
-    # sit at z = kappa j (k2 = 0).
-    if k2 != 0:
-        raise ValueError("simplified Podles zeta has poles only on Re(z) = 0")
     b_m2 = 4.0 * A / lnq ** 2
     b_m1 = -4.0 * A * lnu / lnq ** 2
     b_0 = A * (2.0 * lnu ** 2 / lnq ** 2 - 1.0 / 3.0)
@@ -276,7 +271,7 @@ def catalog_zeta(triple_id: str, params: PodlesParams | None = None,
             raise ValueError("catalog_zeta: podless needs PodlesParams")
 
         def poles() -> list[PoleDatum]:
-            out = [_podles_s_pole_datum(params, 0, j)
+            out = [_podles_s_pole_datum(params, j)
                    for j in range(-j_max, j_max + 1)]
             q, u = params.q, params.u
             for k in range(1, k_range + 1):

@@ -181,8 +181,7 @@ def _libm(fn, x: np.ndarray, *consts) -> np.ndarray:
 
 # Tail bounds are screened with numpy over whole blocks; the one reported is
 # libm's, as the scalar formulas had it.  The two differ by a few ulps, far
-# below _SCREEN, except where the scalar incomplete gamma comes out too large
-# (see `upper_gamma`): a screen below the reported bound misses no stop.
+# below _SCREEN.
 _NUMPY = SimpleNamespace(exp=np.exp, log=np.log, power=np.power,
                          upper_gamma=lambda a, y: upper_gamma(a, y))
 _LIBM = SimpleNamespace(exp=partial(_libm, math.exp), log=partial(_libm, math.log),
@@ -211,6 +210,8 @@ def _certified_sum(spectrum: Spectrum, block_terms, bound, tol: float,
     < tol (|base + S_n| + 1), S_n the running sum from `seed`.  Indices that
     pass a screen on cumulative sums (widened by their rounding error) are
     tested on the exact sum and libm bound, so it is the term-by-term stop.
+    Index _MAX_TERMS + 1 ends the sum unconverged in any case, with an
+    infinite bound where it is not tested.
     Returns (total, terms_used, tail_bound, converged, tested).
     """
     summer = PairwiseSummer()
@@ -223,20 +224,23 @@ def _certified_sum(spectrum: Spectrum, block_terms, bound, tol: float,
         x, live = x[:cut], live[:cut]
         absum += float(np.abs(x).sum())
         done = 0
+        cols = _Cols(n, v, m, x, aux)
+        near = n[:x.size] > _MAX_TERMS          # the term cap, tested or not
         if live.any():
-            cols = _Cols(n, v, m, x, aux)
             # the cumulative sums miss the exact running sums by less than slack
             slack = 4.0 * _EPS * (x.size + 64) * absum
             scale = np.abs(base + summer.total() + np.cumsum(x)) + slack + 1.0
-            near = _tails(bound, cols, _NUMPY)[:x.size] < tol * (1.0 + _SCREEN) * scale
-            near |= n[:x.size] > _MAX_TERMS
-            for k in np.flatnonzero(near & live).tolist():
-                summer.extend(x[done:k + 1])
-                done = k + 1
-                tail = float(_tails(bound, cols.at(k), _LIBM)[0])
-                limit = tol * (abs(base + summer.total()) + 1.0)
-                if tail < limit or n[k] > _MAX_TERMS:
-                    return summer.total(), k + count + 1, tail, tail < limit, True
+            near |= live & (_tails(bound, cols, _NUMPY)[:x.size]
+                            < tol * (1.0 + _SCREEN) * scale)
+        for k in np.flatnonzero(near).tolist():
+            summer.extend(x[done:k + 1])
+            done = k + 1
+            tail = float(_tails(bound, cols.at(k), _LIBM)[0]) if live[k] else math.inf
+            limit = tol * (abs(base + summer.total()) + 1.0)
+            if tail < limit or n[k] > _MAX_TERMS:
+                return (summer.total(), k + count + 1, tail, tail < limit,
+                        bool(live[:k + 1].any()) or last is not None)
+        if live.any():
             last = cols.at(int(np.flatnonzero(live)[-1]))
         summer.extend(x[done:])
         if cut is not None:
@@ -569,8 +573,7 @@ def abscissa_estimate(series: GeneralDirichletSeries, n_probe: int) -> float:
 # Mellin identity check
 # ---------------------------------------------------------------------------
 
-def mellin_check(spectrum: Spectrum, s: complex, tol_heat: float = 1e-13,
-                 quad_epsrel: float = 1e-11) -> float:
+def mellin_check(spectrum: Spectrum, s: complex) -> float:
     """Relative residual of  int_0^oo t^{s-1} h0(t) dt = Gamma(s) zeta(s)
 
     with the kernel-free heat trace h0.  The integral is split at t = 1 with
@@ -585,7 +588,7 @@ def mellin_check(spectrum: Spectrum, s: complex, tol_heat: float = 1e-13,
         h0 = spectrum.heat0_closed
     else:
         def h0(t: float) -> float:
-            return float(heat_trace(spectrum, t, tol=tol_heat,
+            return float(heat_trace(spectrum, t, tol=1e-13,
                                     include_kernel=False).value)
 
     # lower part: t = e^{-v}
@@ -607,9 +610,9 @@ def mellin_check(spectrum: Spectrum, s: complex, tol_heat: float = 1e-13,
     total = 0.0 + 0.0j
     for part in (0, 1):
         lo, _ = quad(low_integrand, 0.0, V, args=(part,), limit=400,
-                     epsabs=1e-13, epsrel=quad_epsrel)
+                     epsabs=1e-13, epsrel=1e-11)
         hi, _ = quad(high_integrand, 1.0, T, args=(part,), limit=400,
-                     epsabs=1e-13, epsrel=quad_epsrel)
+                     epsabs=1e-13, epsrel=1e-11)
         total += complex(lo + hi) * (1.0 if part == 0 else 1.0j)
 
     if isinstance(meta.tail, PolynomialTail):

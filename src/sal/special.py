@@ -13,6 +13,9 @@ results are reproducible bit-for-bit across platforms:
   * hurwitz_zeta -- Euler--Maclaurin with an adaptive shift.
   * epstein_Zd -- incomplete-gamma accelerated theta representation of the
     Epstein zeta of Z^d; globally meromorphic, single pole at s = d.
+  * lattice_sq_counts -- the exact table r_d(m) = #{k in Z^d : |k|^2 = m}
+    (optionally over parity classes of the axes), shared by the Epstein
+    zeta, the torus spectra and the Poisson comparison.
   * jacobi_theta3 -- direct lattice sum with certified truncation.
   * Bernoulli numbers/polynomials -- exact rationals from the defining
     recurrence (B_1 = -1/2 convention, so B_2 = +1/6).
@@ -43,6 +46,7 @@ __all__ = [
     "zeta_nonpositive_int_rational",
     "epstein_Zd",
     "epstein_residue_at_pole",
+    "lattice_sq_counts",
     "jacobi_theta3",
     "bernoulli_number",
     "bernoulli_poly",
@@ -77,8 +81,8 @@ _LANCZOS_C = (
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _is_nonpositive_int(z: complex, tol: float = 1e-13) -> bool:
-    return z.real <= 0.5 and abs(z.imag) < tol and abs(z.real - round(z.real)) < tol
+def _is_nonpositive_int(z: complex) -> bool:
+    return z.real <= 0.5 and abs(z.imag) < 1e-13 and abs(z.real - round(z.real)) < 1e-13
 
 
 def gamma(z: complex) -> complex:
@@ -327,13 +331,15 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
 def upper_gamma(a: complex, x):
     """Upper incomplete Gamma(a, x) for x > 0 and complex a.
 
-    Shift Re(a) into (0, 1] so the Lentz continued fraction converges fast,
-    then climb back up with Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}.
+    Below x = 0.5, Gamma(a) minus the power series of the lower function
+    gamma(a, x).  From x = 0.5 on (and at nonpositive integer a, where
+    Gamma(a) has its poles and the fraction is accurate from x ~ 0.3), shift
+    Re(a) into (-1, 0] so the Lentz continued fraction converges fast, then
+    climb back up with Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}.
 
     An array x (real a > 0) gives a real array from scipy's regularized
     `gammaincc`; the summation engines screen whole blocks of tail bounds
-    with it.  It agrees with the continued fraction to about 1e-14 from x ~ 0.3
-    on; below, for fractional a, the continued fraction comes out too large.
+    with it.  It agrees with the scalar path to about 1e-14.
     """
     a = complex(a)
     if isinstance(x, np.ndarray):
@@ -343,6 +349,16 @@ def upper_gamma(a: complex, x):
         return gamma(a).real * gammaincc(a.real, x)
     if x <= 0.0:
         raise ValueError("upper_gamma: need x > 0")
+    if x < 0.5 and not _is_nonpositive_int(a):
+        # Gamma(a) - gamma(a, x), gamma(a, x) = x^a e^{-x} sum_n x^n / (a)_{n+1};
+        # the terms fall once n > -Re(a)
+        term = total = 1.0 / a
+        n = 0
+        while n <= -a.real or abs(term) > 1e-17 * abs(total):
+            n += 1
+            term *= x / (a + n)
+            total += term
+        return gamma(a) - cmath.exp(-x + a * math.log(x)) * total
     shift = max(0, int(math.ceil(a.real)) )
     a0 = a - shift
     # Lentz continued fraction for Gamma(a0, x), a0.real <= 1
@@ -372,26 +388,32 @@ def upper_gamma(a: complex, x):
     return val
 
 
-@lru_cache(maxsize=32)
-def _sq_counts(d: int, m_max: int) -> tuple[int, ...]:
-    """r_d(m) = #{k in Z^d : |k|^2 = m} for m = 0..m_max (exact integers)."""
-    r1 = [0] * (m_max + 1)
-    r1[0] = 1
-    n = 1
-    while n * n <= m_max:
-        r1[n * n] = 2
-        n += 1
-    out = [1] + [0] * m_max
-    for _ in range(d):
-        new = [0] * (m_max + 1)
-        for i, ci in enumerate(out):
-            if ci == 0:
-                continue
-            for jsq in range(0, m_max - i + 1):
-                if r1[jsq]:
-                    new[i + jsq] += ci * r1[jsq]
-        out = new
-    return tuple(out)
+def _squares(parity, m_max: int) -> np.ndarray:
+    # n^2 <= m_max over n >= 0: all n (parity None), or n = parity mod 2
+    n = np.arange(parity or 0, math.isqrt(m_max) + 1, 1 if parity is None else 2)
+    return n * n
+
+
+def lattice_sq_counts(parities: tuple, m_max: int) -> np.ndarray:
+    """#{n in Z^d : |n|^2 = m} for m = 0..m_max, exact int64 counts.
+
+    Axis j runs over all integers (parities[j] None) or over the integers of
+    parity parities[j]: a spin-shifted torus axis, |2k + s_j|, is parity s_j.
+    The first axis's table of squares is shift-added once per further axis
+    (n and -n counted apart, n = 0 once).
+    """
+    first, *rest = parities
+    out = np.zeros(m_max + 1, dtype=np.int64)
+    out[_squares(first, m_max)] = 2
+    if first != 1:
+        out[0] = 1
+    for p in rest:
+        acc = np.zeros_like(out)
+        for k in _squares(p, m_max).tolist():
+            if k:
+                acc[k:] += out[:m_max + 1 - k]
+        out = 2 * acc + (out if p != 1 else 0)
+    return out
 
 
 def epstein_Zd(s: complex, d: int) -> complex:
@@ -417,7 +439,7 @@ def epstein_Zd(s: complex, d: int) -> complex:
             return complex(-1.0, 0.0)
         return complex(0.0, 0.0)
     m_max = 36
-    counts = _sq_counts(d, m_max)
+    counts = lattice_sq_counts((None,) * d, m_max).tolist()
     a1 = s / 2.0
     a2 = (d - s) / 2.0
     acc = 2.0 / (s - d) - 2.0 / s

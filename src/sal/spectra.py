@@ -12,11 +12,13 @@ Catalog:
   * noncommutative tori T^d_Theta (spectrum is Theta-independent),
   * standard Podles spheres (full D_q and simplified D_q^S),
 plus a JSON-lines loader for externally supplied spectra.
+
+Both tori are cut at a radius and grouped by the exact lattice-norm counts
+of `special.lattice_sq_counts` (a spin-shifted axis is one parity class).
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .special import q_number
+from .special import lattice_sq_counts, q_number
 
 __all__ = [
     "SpectrumEntry",
@@ -42,8 +44,6 @@ __all__ = [
     "podles_diag_A",
     "load_spectrum_jsonl",
     "save_spectrum_jsonl",
-    "lattice_sq_counts",
-    "shifted_lattice_sq4_counts",
 ]
 
 
@@ -202,7 +202,7 @@ class PodlesParams:
 # Spheres
 # ---------------------------------------------------------------------------
 
-def sphere_spectrum(d: int, spin: str = "nontrivial", n_max: int | None = None) -> Spectrum:
+def sphere_spectrum(d: int, spin: str = "nontrivial") -> Spectrum:
     """Dirac spectrum of the round S^d.
 
     For d >= 2 (or nontrivial spin on S^1): mu_n = n + d/2 with multiplicity
@@ -221,7 +221,7 @@ def sphere_spectrum(d: int, spin: str = "nontrivial", n_max: int | None = None) 
             tail=PolynomialTail(coeff=2.0, power=1.0, offset=1.0))
 
         def gen() -> Iterator[Block]:
-            for lo, hi in block_ranges(n_max):
+            for lo, hi in block_ranges():
                 yield np.arange(lo + 1.0, hi + 1.0), np.full(hi - lo, 2, dtype=np.int64)
 
         def heat0(t: float) -> float:
@@ -247,7 +247,7 @@ def sphere_spectrum(d: int, spin: str = "nontrivial", n_max: int | None = None) 
         return m * c
 
     def gen() -> Iterator[Block]:
-        for lo, hi in block_ranges(None if n_max is None else n_max + 1):
+        for lo, hi in block_ranges():
             n = np.arange(lo, hi)
             yield n + d / 2.0, mults(n)
 
@@ -259,51 +259,8 @@ def sphere_spectrum(d: int, spin: str = "nontrivial", n_max: int | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# Lattice helpers (exact integer grouping of |k|^2)
+# Tori
 # ---------------------------------------------------------------------------
-
-def lattice_sq_counts(d: int, m_max: int) -> np.ndarray:
-    """r_d(m) = #{k in Z^d : |k|^2 = m}, m = 0..m_max, via convolution.
-
-    FFT convolution for large ranges; counts are small integers so the
-    rounding is exact far beyond the ranges used here.
-    """
-    r1 = np.zeros(m_max + 1, dtype=np.int64)
-    r1[0] = 1
-    n = 1
-    while n * n <= m_max:
-        r1[n * n] = 2
-        n += 1
-    out = r1.copy()
-    big = m_max > 20000
-    if big:
-        from scipy.signal import fftconvolve
-    for _ in range(d - 1):
-        if big:
-            conv = fftconvolve(out.astype(float), r1.astype(float))[: m_max + 1]
-            out = np.rint(conv).astype(np.int64)
-        else:
-            out = np.convolve(out, r1)[: m_max + 1]
-    return out
-
-
-def shifted_lattice_sq4_counts(d: int, s_bits: tuple[int, ...], m_max4: int) -> np.ndarray:
-    """Counts of 4|k + s/2|^2 = |2k + s|^2 over k in Z^d, values 0..m_max4.
-
-    Component j ranges over even integers (s_j = 0) or odd integers (s_j = 1);
-    exact integer grouping of the shifted lattice norms.
-    """
-    out = np.zeros(m_max4 + 1, dtype=np.int64)
-    out[0] = 1
-    for sj in s_bits:
-        r = np.zeros(m_max4 + 1, dtype=np.int64)
-        n = sj
-        while n * n <= m_max4:
-            r[n * n] = 1 if n == 0 else 2
-            n += 2
-        out = np.convolve(out, r)[: m_max4 + 1]
-    return out
-
 
 def _lattice_tail(d: int, two_pi: bool) -> PolynomialTail:
     # N(L) <= 2^{floor(d/2)} * #(ball of radius L/(2pi) + diam) * margin
@@ -312,6 +269,17 @@ def _lattice_tail(d: int, two_pi: bool) -> PolynomialTail:
     mult = 2 ** (d // 2)
     return PolynomialTail(coeff=mult * vol_d / scale ** d, power=float(d),
                           offset=scale * (math.sqrt(d) + 1.0))
+
+
+def _lattice_spectrum(meta: SpectrumMeta, parities: tuple, scale: float,
+                      bound: float) -> Spectrum:
+    """Values scale |n|, 0 < |n| <= bound, over the n in Z^d with the axis
+    parities of `lattice_sq_counts`; 2^{floor(d/2)} per lattice point."""
+    counts = lattice_sq_counts(parities, int(math.ceil(bound * bound)) + 1)
+    m = np.flatnonzero(counts[1:]) + 1
+    values = scale * np.sqrt(m)
+    keep = values <= scale * bound + 1e-12
+    return Spectrum(meta, _sliced(values[keep], counts[m[keep]] * 2 ** (len(parities) // 2)))
 
 
 def torus_spectrum(d: int, spin: tuple[int, ...] | None = None,
@@ -327,17 +295,11 @@ def torus_spectrum(d: int, spin: tuple[int, ...] | None = None,
     s_bits = tuple(int(b) for b in (spin if spin is not None else (0,) * d))
     if len(s_bits) != d or any(b not in (0, 1) for b in s_bits):
         raise ValueError("torus_spectrum: spin must be a d-bit vector")
-    mult = 2 ** (d // 2)
-    trivial = all(b == 0 for b in s_bits)
-    kernel = mult if trivial else 0
-    m_max4 = int(math.ceil(4.0 * radius_cut * radius_cut)) + 1
-    counts = shifted_lattice_sq4_counts(d, s_bits, m_max4)
-    meta = SpectrumMeta(float(d), kernel, f"T^{d} spin {''.join(map(str, s_bits))}",
+    meta = SpectrumMeta(float(d), 0 if any(s_bits) else 2 ** (d // 2),
+                        f"T^{d} spin {''.join(map(str, s_bits))}",
                         tail=_lattice_tail(d, two_pi=True))
-    m4 = np.flatnonzero(counts[1:]) + 1
-    values = 2.0 * math.pi * 0.5 * np.sqrt(m4)
-    keep = values <= 2.0 * math.pi * radius_cut + 1e-12
-    return Spectrum(meta, _sliced(values[keep], counts[m4[keep]] * mult))
+    # 2 pi |k + s/2| = pi |2k + s|, and 2k_j + s_j runs over the integers of parity s_j
+    return _lattice_spectrum(meta, s_bits, math.pi, 2.0 * radius_cut)
 
 
 def nctorus_spectrum(d: int, radius_cut: float = 10.0) -> Spectrum:
@@ -347,23 +309,16 @@ def nctorus_spectrum(d: int, radius_cut: float = 10.0) -> Spectrum:
     """
     if radius_cut <= 0:
         raise ValueError("nctorus_spectrum: need radius_cut > 0")
-    mult = 2 ** (d // 2)
-    m_max = int(math.ceil(radius_cut * radius_cut)) + 1
-    counts = lattice_sq_counts(d, m_max)
-    meta = SpectrumMeta(float(d), mult, f"T^{d}_Theta",
+    meta = SpectrumMeta(float(d), 2 ** (d // 2), f"T^{d}_Theta",
                         tail=_lattice_tail(d, two_pi=False))
-    m = np.flatnonzero(counts[1:]) + 1
-    values = np.sqrt(m)
-    keep = values <= radius_cut + 1e-12
-    return Spectrum(meta, _sliced(values[keep], counts[m[keep]] * mult))
+    return _lattice_spectrum(meta, (None,) * d, 1.0, radius_cut)
 
 
 # ---------------------------------------------------------------------------
 # Podles spheres
 # ---------------------------------------------------------------------------
 
-def podles_spectrum(params: PodlesParams, simplified: bool = False,
-                    n_max: int | None = None) -> Spectrum:
+def podles_spectrum(params: PodlesParams, simplified: bool = False) -> Spectrum:
     """Singular values of the Podles Dirac operators, multiplicity 4(n+1).
 
     Full D_q:        mu_n = |w| [n+1]   with [x] the q-number,
@@ -411,7 +366,7 @@ def podles_spectrum(params: PodlesParams, simplified: bool = False,
         return np.fromiter(map(mu, range(lo, hi)), float, hi - lo)
 
     def gen() -> Iterator[Block]:
-        for lo, hi in block_ranges(None if n_max is None else n_max + 1):
+        for lo, hi in block_ranges():
             values = block(lo, hi)
             end = int(np.isinf(values).argmax()) if np.isinf(values[-1]) else hi - lo
             if end:
@@ -475,7 +430,7 @@ def load_spectrum_jsonl(path: str) -> Spectrum:
 
     First line is a header object {"p": float, "kernel": int, "label": str};
     each following line is {"value": float, "mult": int}.  Values must be
-    strictly increasing with positive integer multiplicities.
+    finite and strictly increasing, multiplicities positive JSON integers.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in (l.strip() for l in fh) if ln]
@@ -489,7 +444,11 @@ def load_spectrum_jsonl(path: str) -> Spectrum:
     mults: list[int] = []
     for i, ln in enumerate(lines[1:], start=2):
         row = json.loads(ln)
-        v, mlt = float(row["value"]), int(row["mult"])
+        v, mlt = float(row["value"]), row["mult"]
+        if not math.isfinite(v):
+            raise ValueError(f"load_spectrum_jsonl: line {i}: value must be finite")
+        if type(mlt) is not int:
+            raise ValueError(f"load_spectrum_jsonl: line {i}: mult must be an integer")
         if v <= 0:
             raise ValueError(f"load_spectrum_jsonl: line {i}: value must be > 0")
         if values and v <= values[-1]:

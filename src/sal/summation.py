@@ -26,8 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .special import bernoulli_number, periodic_bernoulli, riemann_zeta
-from .spectra import lattice_sq_counts
+from .special import bernoulli_number, lattice_sq_counts, periodic_bernoulli, riemann_zeta
 
 __all__ = [
     "RadialSummand",
@@ -92,7 +91,7 @@ def poisson_compare(g: RadialSummand, t: float, m: int,
         raise ValueError("poisson_compare: need t > 0")
     r_sq_max = 64
     while True:
-        counts = lattice_sq_counts(m, r_sq_max)
+        counts = lattice_sq_counts((None,) * m, r_sq_max)
         radii = t * np.sqrt(np.arange(r_sq_max + 1, dtype=float))
         vals = g.fn(radii)
         S = float(np.sum(np.asarray(counts, dtype=float) * vals))
@@ -121,22 +120,6 @@ def poisson_compare(g: RadialSummand, t: float, m: int,
 # Euler--Maclaurin
 # ---------------------------------------------------------------------------
 
-def _fd_derivative(g: Callable[[float], float], order: int, x: float,
-                   h: float | None = None) -> float:
-    """Central finite difference of given order (Richardson-free, wide stencil)."""
-    if order == 0:
-        return g(x)
-    if h is None:
-        h = 0.02 * max(1.0, abs(x)) * (2.0 ** (order / 3.0))
-        h = min(h, 0.35)
-    # binomial central difference on an order+1+pad point stencil
-    n = order
-    acc = 0.0
-    for j in range(n + 1):
-        acc += (-1.0) ** j * math.comb(n, j) * g(x + (n / 2.0 - j) * h)
-    return acc / h ** n
-
-
 def euler_maclaurin(g: Callable[[float], float], N: int, m: int,
                     derivs: Callable[[int], Callable[[float], float]] | None = None,
                     integral: float | None = None) -> tuple[float, float]:
@@ -146,16 +129,13 @@ def euler_maclaurin(g: Callable[[float], float], N: int, m: int,
                + sum_{j=2}^m B_j/j! (g^{(j-1)}(N) - g^{(j-1)}(0))
     with the remainder bound |R_m| <= (2 zeta(m)/(2 pi)^m) int_0^N |g^(m)|
     (valid for m >= 7; returned for any even m >= 2 using the defining
-    integral of the periodic Bernoulli remainder otherwise).
+    integral of the periodic Bernoulli remainder otherwise).  `derivs(j)` is
+    the exact j-th derivative of g, which the remainder bound needs.
     """
     if m < 2 or m % 2 != 0:
         raise ValueError("euler_maclaurin: m must be even and >= 2")
-
-    def dg(j: int) -> Callable[[float], float]:
-        if derivs is not None:
-            return derivs(j)
-        return lambda x, _j=j: _fd_derivative(g, _j, x)
-
+    if derivs is None:
+        raise ValueError("euler_maclaurin: need the exact derivatives derivs")
     if integral is None:
         integral, _ = quad(g, 0.0, N, limit=400, epsabs=1e-13, epsrel=1e-12)
     est = integral + 0.5 * (g(0.0) + g(float(N)))
@@ -163,9 +143,9 @@ def euler_maclaurin(g: Callable[[float], float], N: int, m: int,
         bj = float(bernoulli_number(j))
         if bj == 0.0:
             continue
-        dj = dg(j - 1)
+        dj = derivs(j - 1)
         est += bj / math.factorial(j) * (dj(float(N)) - dj(0.0))
-    dm = dg(m)
+    dm = derivs(m)
     absint, _ = quad(lambda x: abs(dm(x)), 0.0, N, limit=400,
                      epsabs=1e-12, epsrel=1e-9)
     if m >= 7:
@@ -225,18 +205,16 @@ def s4_constant_term() -> Fraction:
     return Fraction(4, 3) * c0
 
 
-def s4_action(f, lam: float, M_terms: int = 3,
-              sqrt_derivs: tuple | None = None) -> float:
+def s4_action(f, lam: float, M_terms: int = 3) -> float:
     """S^4 action through order Lambda^{-2 M_terms} (f even Schwartz).
 
-    sqrt_derivs[m-1] = phi^(m)(0) with phi(u) = f(sqrt(u)); taken from the
-    cutoff when it carries them (Gaussians do).
+    The cut-off must carry sqrt_derivs[m-1] = phi^(m)(0) with
+    phi(u) = f(sqrt(u)) (Gaussians do).
     """
     fe = _as_callable(f)
-    if sqrt_derivs is None:
-        sqrt_derivs = tuple(getattr(f, "sqrt_derivs", ()) or ())
-        if len(sqrt_derivs) < M_terms:
-            raise ValueError("s4_action: need sqrt_derivs up to order M_terms")
+    sqrt_derivs = tuple(getattr(f, "sqrt_derivs", ()) or ())
+    if len(sqrt_derivs) < M_terms:
+        raise ValueError("s4_action: need sqrt_derivs up to order M_terms")
     i3, _ = quad(lambda u: u ** 3 * float(fe(u)), 0.0, np.inf, limit=400,
                  epsabs=1e-13, epsrel=1e-12)
     i1, _ = quad(lambda u: u * float(fe(u)), 0.0, np.inf, limit=400,

@@ -145,3 +145,21 @@ def test_compare_expansion_route(capsys):
     rows = [r.split(",") for r in lines[1:]]
     for r in rows:
         assert abs(float(r[3])) / abs(float(r[1])) < 1e-6
+
+
+@pytest.mark.parametrize("d, seed", [(2, 0), (6, 5)])
+def test_finite_gauge_row_is_covariant(tmp_path, capsys, d, seed):
+    path = tmp_path / "triple.json"
+    path.write_text(triple_to_json(ko_reference_triple(d, np.random.default_rng(seed))))
+    code, out, err = run_cli(["finite", "--file", str(path), "--check", "gauge"], capsys)
+    assert code == 0
+    rows = dict(line.split(",", 1) for line in out.strip().splitlines()[1:])
+    assert float(rows["gauge_covariance_residual"]) < 1e-10
+
+
+def test_bad_spectrum_file_is_argument_error(tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"p": 1.0, "kernel": 0, "label": "bad"}\n'
+                    '{"value": 1.0, "mult": 2}\n{"value": NaN, "mult": 2}\n')
+    code, out, err = run_cli(["heat", "--triple", f"file:{path}", "--t-grid", "1:1:1"], capsys)
+    assert code == 2 and out == "" and "finite" in err

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -194,3 +195,49 @@ def test_signed_measure_view():
     assert abs(g.total_variation() - 1.0) < 1e-15
     nt = null_taylor_cutoff().measure
     assert nt.total_variation() > nt.densities[0].moment(0.0)  # |phi| > phi
+
+
+def _close(val, ref, rel):
+    return abs(complex(val) - complex(ref)) <= rel * max(abs(complex(ref)), 1.0)
+
+
+def test_window_f_moment_vs_mpmath():
+    w = window_cutoff(0.5, 2.0).components[0]
+    for z in (0.3, 1.7 + 0.5j, -1.2, 1.0):
+        for n in range(3):
+            ref = mp.quad(lambda s: s ** (-mp.mpc(z)) * mp.log(s) ** n, [w.a, w.b])
+            assert _close(w.f_moment(z, n), ref, 1e-13), (z, n)
+
+
+def test_shifted_gamma_density_vs_mpmath():
+    # e^{-x} (1 + x)^{-3}: the gamma density of the power law moved by the atom at 1
+    (g,) = parse_cutoff("product(exp:1,powerlaw:1,1,3)").components
+    assert g.shift == 1.0
+
+    def dens(s):
+        t = s - g.shift
+        return g.weight * mp.mpf(g.rate) ** g.r * t ** (g.r - 1) \
+            * mp.exp(-g.rate * t) / mp.gamma(g.r)
+
+    for m in (0.0, 1.0, 2.0, 1.5, -0.5, 3.3):
+        ref = mp.quad(lambda s: s ** m * dens(s), [g.shift, g.shift + 5, mp.inf])
+        assert _close(g.moment(m), ref, 1e-12), m
+    for z in (0.5, 2 + 1j, -1.5):
+        for n in range(3):
+            ref = mp.quad(lambda s: s ** (-mp.mpc(z)) * mp.log(s) ** n * dens(s),
+                          [g.shift, g.shift + 5, mp.inf])
+            assert _close(g.f_moment(z, n), ref, 1e-12), (z, n)
+
+
+def test_quad_density_f_moment_vs_mpmath():
+    # two unit windows on [1, 2] convolve to the triangle on [2, 4]
+    (q,) = parse_cutoff("product(window:1,2,window:1,2)").components
+    assert len(q.nodes) > 1
+
+    def tri(s):
+        return s - 2 if s <= 3 else 4 - s
+
+    for z in (0.5, 2 + 1j, -1.5, 1.0):
+        for n in range(3):
+            ref = mp.quad(lambda s: s ** (-mp.mpc(z)) * mp.log(s) ** n * tri(s), [2, 3, 4])
+            assert _close(q.f_moment(z, n), ref, 1e-13), (z, n)

@@ -315,3 +315,10 @@ def test_mellin_spheres(spec_id, s):
 def test_mellin_podles(s):
     ps = podles_spectrum(PodlesParams(0.5, 1.0), simplified=True)
     assert mellin_check(ps, s) < 1e-7
+
+
+def test_action_stops_at_term_cap_below_x0():
+    # mu_n / Lambda stays far below the cut-off's x0 = 16, so no index is tested
+    rep = spectral_action_direct(sphere_spectrum(1, "trivial"), exp_cutoff(1.0), 1e25)
+    assert rep.terms_used == 2_000_002
+    assert not rep.converged and rep.tail_bound == math.inf

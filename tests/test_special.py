@@ -1,14 +1,19 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sal.special import (EULER_GAMMA, PoleError, bernoulli_number,
                          bernoulli_poly, bernoulli_poly_coeffs, digamma,
                          epstein_Zd, epstein_residue_at_pole, gamma,
-                         gamma_laurent, hurwitz_zeta, jacobi_theta3, q_number,
+                         gamma_laurent, hurwitz_zeta, jacobi_theta3,
+                         lattice_sq_counts, q_number,
                          riemann_zeta, trigamma, upper_gamma)
 
 mp.mp.dps = 30
@@ -217,3 +222,52 @@ def test_log_gamma_vs_mpmath():
     for z in (0.7, 5.5, 2.0 + 3.0j, 30.0):
         ref = complex(mp.loggamma(z))
         assert abs(log_gamma(z) - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(parities=st.lists(st.sampled_from([None, 0, 1]), min_size=1, max_size=4),
+       m_max=st.integers(0, 25))
+def test_lattice_sq_counts_brute_force(parities, m_max):
+    # every axis over all integers (None) or one parity class, enumerated
+    r = math.isqrt(m_max)
+    axes = [[n for n in range(-r, r + 1) if p is None or n % 2 == p] for p in parities]
+    want = [0] * (m_max + 1)
+    for k in itertools.product(*axes):
+        m = sum(n * n for n in k)
+        if m <= m_max:
+            want[m] += 1
+    got = lattice_sq_counts(tuple(parities), m_max)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_lattice_sq_counts_large_tables_follow_jacobi():
+    # r_2(n) = 4 sum_{d | n, d odd} (-1)^{(d-1)/2},  r_4(n) = 8 sum_{d | n, 4 !| d} d
+    def divisors(n):
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        return set(small) | {n // d for d in small}
+
+    m_max = 200_000
+    r2 = lattice_sq_counts((None, None), m_max)
+    r4 = lattice_sq_counts((None,) * 4, 40_000)
+    for n in list(range(1, 60)) + list(range(20_011, m_max + 1, 9_973)):
+        assert r2[n] == 4 * sum((-1) ** ((d - 1) // 2) for d in divisors(n) if d % 2)
+        if n <= 40_000:
+            assert r4[n] == 8 * sum(d for d in divisors(n) if d % 4)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.5, 2.5, 3.0, 2.5 + 1j])
+def test_upper_gamma_small_x_vs_mpmath(a):
+    for x in np.logspace(-3.0, math.log10(8.0), 31).tolist():
+        ref = complex(mp.gammainc(a, x))
+        val = upper_gamma(a, x)
+        assert abs(val - ref) <= 1e-12 * abs(ref), (a, x, val, ref)
+        if isinstance(a, float):
+            assert val.imag == 0.0
+
+
+def test_upper_gamma_real_grid_exactly_real():
+    for a in np.linspace(0.5, 4.0, 15).tolist():
+        for x in np.linspace(0.5, 8.0, 16).tolist():
+            val = upper_gamma(a, x)
+            assert val.imag == 0.0
+            assert abs(val.real - float(mp.gammainc(a, x))) <= 1e-12 * val.real

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,3 +177,29 @@ def test_squared_spectrum():
     assert sq.meta.dimension_p == 1.0
     e = sq.take(3)
     assert [x.value for x in e] == [1.0, 4.0, 9.0]
+
+
+@pytest.mark.parametrize("row, match", [
+    ('{"value": NaN, "mult": 2}', "finite"),
+    ('{"value": Infinity, "mult": 1}', "finite"),
+    ('{"value": 3.0, "mult": 1.7}', "integer"),
+    ('{"value": 3.0, "mult": true}', "integer"),
+])
+def test_jsonl_rejects_nonfinite_values_and_fractional_mults(tmp_path, row, match):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"p": 1.0, "kernel": 0, "label": "bad"}\n'
+                    '{"value": 1.0, "mult": 2}\n' + row + "\n")
+    with pytest.raises(ValueError, match=match):
+        load_spectrum_jsonl(str(path))
+
+
+def test_lattice_triples_do_not_import_scipy_signal():
+    code = ("import sys\n"
+            "from sal.catalog import resolve_triple\n"
+            "for tid in ('nct2', 'nct4', 't3'):\n"
+            "    resolve_triple(tid).spectrum.take(5)\n"
+            "print('scipy.signal' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

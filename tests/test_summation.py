@@ -179,3 +179,8 @@ def test_t3_action_closed_form():
     direct = spectral_action_direct(torus_spectrum(3, (0, 0, 0), cut), f, lam,
                                     tol=1e-14).value
     assert abs(direct - t3_action(f, lam)) / direct < 1e-9
+
+
+def test_euler_maclaurin_needs_exact_derivatives():
+    with pytest.raises(ValueError, match="derivs"):
+        euler_maclaurin(lambda x: math.exp(-x), 10, 4)
