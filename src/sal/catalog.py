@@ -1,6 +1,6 @@
 """Registry mapping CLI triple identifiers to spectra and oracle data.
 
-Identifiers: s1, s1nt, s2, s3, s4, t3:s1s2s3, nct2, nct4, podles:q,w,
+Identifiers: s1, s1nt, s2, s3, s4, t3 (t3:000), t3:s1s2s3, nct2, nct4, podles:q,w,
 podless:q,w, file:PATH; an `sq` suffix selects the D^2 spectrum (singular
 values squared).
 """
@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .oracles import (CatalogZeta, catalog_zeta, podles_radius_data,
                       s1_radius_data, s2_radius_data)
 from .spectra import (PodlesParams, Spectrum, load_spectrum_jsonl,
                       nctorus_spectrum, podles_spectrum, sphere_spectrum,
                       torus_spectrum)
+from .summation import s3_action, t3_action
 
 __all__ = ["ResolvedTriple", "resolve_triple", "default_scale"]
 
@@ -26,6 +28,7 @@ class ResolvedTriple:
     zeta: CatalogZeta | None
     params: PodlesParams | None = None
     radius_data: tuple | None = None
+    action: Callable | None = None      # closed-form action (f, Lambda) -> float
 
 
 def default_scale(p: float, n_strips: int = 24) -> list[float]:
@@ -44,8 +47,7 @@ def resolve_triple(triple_id: str, lattice_cut: float = 80.0) -> ResolvedTriple:
     squared = name.endswith("sq") and name != "sq" and not tid.startswith("file:")
     base = (name[:-2] + sep + arg) if squared else tid
 
-    params = None
-    radius_data = None
+    params = radius_data = action = None
     if base == "s1":
         spec = sphere_spectrum(1, "trivial")
         zeta = catalog_zeta("s1")
@@ -60,18 +62,17 @@ def resolve_triple(triple_id: str, lattice_cut: float = 80.0) -> ResolvedTriple:
     elif base == "s3":
         spec = sphere_spectrum(3)
         zeta = catalog_zeta("s3")
+        action = s3_action
     elif base == "s4":
         spec = sphere_spectrum(4)
         zeta = catalog_zeta("s4")
-    elif base.startswith("t3"):
-        bits = (0, 0, 0)
-        if ":" in base:
-            code = base.split(":", 1)[1]
-            if len(code) != 3 or any(ch not in "01" for ch in code):
-                raise ValueError(f"bad T^3 spin structure {code!r}")
-            bits = tuple(int(ch) for ch in code)
-        spec = torus_spectrum(3, bits, radius_cut=lattice_cut / (2.0 * math.pi))
-        zeta = None
+    elif base == "t3" or base.startswith("t3:"):
+        code = base[3:] if base != "t3" else "000"
+        if len(code) != 3 or any(ch not in "01" for ch in code):
+            raise ValueError(f"bad T^3 spin structure {code!r}")
+        spec = torus_spectrum(3, tuple(int(ch) for ch in code),
+                              radius_cut=lattice_cut / (2.0 * math.pi))
+        zeta, action = None, t3_action
     elif base in ("nct2", "nct4"):
         d = int(base[3:])
         spec = nctorus_spectrum(d, radius_cut=lattice_cut)
@@ -91,7 +92,8 @@ def resolve_triple(triple_id: str, lattice_cut: float = 80.0) -> ResolvedTriple:
     else:
         raise ValueError(f"unknown triple id {triple_id!r}")
 
-    if squared:
+    if squared:     # the closed-form actions are of |D|, not of D^2
         spec = spec.squared()
         zeta = zeta.squared() if zeta is not None else None
-    return ResolvedTriple(tid, spec, zeta, params, radius_data)
+        action = None
+    return ResolvedTriple(tid, spec, zeta, params, radius_data, action)

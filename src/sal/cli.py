@@ -51,28 +51,28 @@ def _grid(text: str) -> list[float]:
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
-def _cmd_heat(args) -> int:
-    rt = resolve_triple(args.triple, lattice_cut=args.lattice_cut)
+def _sweep(key: str, grid: str, engine, fmt: str) -> int:
+    """One row per grid point x of the report engine(x); exit 3 unless all converged."""
     rows = []
-    ok = True
-    for t in _grid(args.t_grid):
-        rep = series.heat_trace(rt.spectrum, t, tol=args.tol)
-        ok = ok and rep.converged
-        rows.append({"t": t, "value": float(rep.value),
+    for x in _grid(grid):
+        rep = engine(x)
+        rows.append({key: x, "value": float(rep.value),
                      "terms": rep.terms_used, "tail_bound": rep.tail_bound,
                      "converged": rep.converged})
-    _emit(rows, args.format)
-    return 0 if ok else 3
+    _emit(rows, fmt)
+    return 0 if all(r["converged"] for r in rows) else 3
+
+
+def _cmd_heat(args) -> int:
+    spec = resolve_triple(args.triple, lattice_cut=args.lattice_cut).spectrum
+    return _sweep("t", args.t_grid, lambda t: series.heat_trace(spec, t, tol=args.tol),
+                  args.format)
 
 
 def _cmd_zeta(args) -> int:
     rt = resolve_triple(args.triple, lattice_cut=args.lattice_cut)
     re_s, im_s = (float(v) for v in args.s.split(","))
-    try:
-        rep = series.zeta_direct(rt.spectrum, complex(re_s, im_s), tol=args.tol)
-    except series.DivergentSeriesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = series.zeta_direct(rt.spectrum, complex(re_s, im_s), tol=args.tol)
     rows = [{"re_s": re_s, "im_s": im_s,
              "re_value": rep.value.real, "im_value": rep.value.imag,
              "terms": rep.terms_used, "tail_bound": rep.tail_bound,
@@ -82,18 +82,11 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_action(args) -> int:
-    rt = resolve_triple(args.triple, lattice_cut=args.lattice_cut)
+    spec = resolve_triple(args.triple, lattice_cut=args.lattice_cut).spectrum
     f = parse_cutoff(args.cutoff)
-    rows = []
-    ok = True
-    for lam in _grid(args.lambda_grid):
-        rep = series.spectral_action_direct(rt.spectrum, f, lam, tol=args.tol)
-        ok = ok and rep.converged
-        rows.append({"lambda": lam, "value": float(rep.value),
-                     "terms": rep.terms_used, "tail_bound": rep.tail_bound,
-                     "converged": rep.converged})
-    _emit(rows, args.format)
-    return 0 if ok else 3
+    return _sweep("lambda", args.lambda_grid,
+                  lambda lam: series.spectral_action_direct(spec, f, lam, tol=args.tol),
+                  args.format)
 
 
 def _build_expansion(rt, args):
@@ -110,15 +103,11 @@ def _build_expansion(rt, args):
 
 def _cmd_expand(args) -> int:
     rt = resolve_triple(args.triple, lattice_cut=args.lattice_cut)
-    try:
-        exp = _build_expansion(rt, args)
-        if args.cutoff:
-            f = parse_cutoff(args.cutoff)
-            exp = asymptotics.action_expansion(exp, f, d=rt.zeta.pole_order,
-                                               spectrum_p=rt.zeta.dimension_p)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    exp = _build_expansion(rt, args)
+    if args.cutoff:
+        exp = asymptotics.action_expansion(exp, parse_cutoff(args.cutoff),
+                                           d=rt.zeta.pole_order,
+                                           spectrum_p=rt.zeta.dimension_p)
     terms = sorted(exp.terms, key=lambda t: (t.strip, -t.z.real, t.z.imag, t.n))
     rows = [{"strip_k": t.strip, "re_z": t.z.real, "im_z": t.z.imag, "n": t.n,
              "re_a": t.coeff.real, "im_a": t.coeff.imag}
@@ -131,13 +120,13 @@ def _cmd_compare(args) -> int:
     rt = resolve_triple(args.triple, lattice_cut=args.lattice_cut)
     f = parse_cutoff(args.cutoff)
     lams = _grid(args.lambda_grid)
-    direct = []
-    for lam in lams:
-        rep = series.spectral_action_direct(rt.spectrum, f, lam, tol=args.tol)
-        direct.append(float(rep.value))
+    by_poles = rt.zeta is not None and not f.is_schwartz_only()
+    if not by_poles and rt.action is None:
+        raise ValueError("no expansion route for this triple/cutoff")
+    direct = [float(series.spectral_action_direct(rt.spectrum, f, lam, tol=args.tol).value)
+              for lam in lams]
     rows = []
-    expansion_vals = None
-    if rt.zeta is not None and not f.is_schwartz_only():
+    if by_poles:
         exp_h = _build_expansion(rt, args)
         exp_a = asymptotics.action_expansion(exp_h, f, d=rt.zeta.pole_order,
                                              spectrum_p=rt.zeta.dimension_p)
@@ -148,17 +137,8 @@ def _cmd_compare(args) -> int:
         expansion_vals = [asymptotics.evaluate_expansion(exp_a, lam, args.strips)
                           + ker * (f.f0() - float(f.evaluate(1.0 / lam)))
                           for lam in lams]
-    else:
-        # Schwartz route: compare against the leading closed forms when known
-        from .summation import s3_action, t3_action
-        base = rt.triple_id[:-2] if rt.triple_id.endswith("sq") else rt.triple_id
-        if base == "s3":
-            expansion_vals = [s3_action(f, lam) for lam in lams]
-        elif base.startswith("t3"):
-            expansion_vals = [t3_action(f, lam) for lam in lams]
-        else:
-            print("error: no expansion route for this triple/cutoff", file=sys.stderr)
-            return 2
+    else:       # Schwartz route: the leading closed form of the action
+        expansion_vals = [rt.action(f, lam) for lam in lams]
     for i, lam in enumerate(lams):
         disc = direct[i] - expansion_vals[i]
         row = {"lambda": lam, "direct": direct[i],
@@ -212,8 +192,7 @@ def _cmd_finite(args) -> int:
 def _cmd_radius(args) -> int:
     rt = resolve_triple(args.triple, lattice_cut=args.lattice_cut)
     if rt.radius_data is None:
-        print(f"error: no radius data for {rt.triple_id}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no radius data for {rt.triple_id}")
     c, e, r = rt.radius_data
     est = asymptotics.convergence_radius(c, e, r)
     rows = [{"T": est.T, "limsup": est.limsup, "kind": est.kind,

@@ -378,8 +378,8 @@ class IndicatorCutoff:
 
 def exp_cutoff(a: float) -> CutoffFunction:
     """f(x) = e^{-a x} = L[delta_a]."""
-    if a <= 0:
-        raise ValueError("exp_cutoff: need a > 0")
+    if not 0 < a < math.inf:
+        raise ValueError("exp_cutoff: need 0 < a < inf")
     # power-law certificate with p = 16: max of x^16 e^{-ax} at x = 16/a
     p = 16.0
     C = (p / a) ** p * math.exp(-p)
@@ -388,8 +388,8 @@ def exp_cutoff(a: float) -> CutoffFunction:
 
 def window_cutoff(a: float, b: float) -> CutoffFunction:
     """f(x) = (e^{-ax} - e^{-bx})/x = L[chi_[a,b]]."""
-    if not (0 <= a < b):
-        raise ValueError("window_cutoff: need 0 <= a < b")
+    if not 0 <= a < b < math.inf:
+        raise ValueError("window_cutoff: need 0 <= a < b < inf")
     if a > 0:
         p = 16.0
         # f(x) <= (b-a) e^{-a x}; bound against x^{-p} as for atoms
@@ -403,8 +403,8 @@ def window_cutoff(a: float, b: float) -> CutoffFunction:
 
 def powerlaw_cutoff(a: float, b: float, r: float) -> CutoffFunction:
     """f(x) = (a x + b)^{-r} = L[Gamma(r)^{-1} a^{-r} s^{r-1} e^{-b s/a}]."""
-    if a <= 0 or b <= 0 or r <= 0:
-        raise ValueError("powerlaw_cutoff: need a, b, r > 0")
+    if not all(0 < x < math.inf for x in (a, b, r)):
+        raise ValueError("powerlaw_cutoff: need 0 < a, b, r < inf")
     comp = GammaDensity(r=r, rate=b / a, weight=b ** (-r))
     return CutoffFunction((comp,), r, a ** (-r), 1e-6,
                           label=f"powerlaw:{a:g},{b:g},{r:g}")
@@ -437,8 +437,8 @@ def null_taylor_cutoff() -> CutoffFunction:
 
 def gaussian_cutoff(width: float = 1.0) -> SchwartzCutoff:
     """f(x) = exp(-(x/width)^2), Schwartz-only."""
-    if width <= 0:
-        raise ValueError("gaussian_cutoff: need width > 0")
+    if not 0 < width < math.inf:
+        raise ValueError("gaussian_cutoff: need 0 < width < inf")
     p = 12.0
     # C = max over x >= x0 of x^p e^{-(x/width)^2}, attained at x = width sqrt(p/2)
     xstar = width * math.sqrt(p / 2.0)

@@ -23,6 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .special import _circle_coeff
+
 __all__ = [
     "KO_SIGN_TABLE",
     "FiniteTriple",
@@ -430,12 +432,7 @@ def tadpole_residue(triple: FiniteTriple, A: np.ndarray | GaugePotential,
         return complex(sum(K[i, i] / safe[i] * abs(safe[i]) ** (-s)
                            for i in range(len(vals))))
 
-    acc = 0.0 + 0.0j
-    for m in range(n_nodes):
-        th = 2.0 * math.pi * m / n_nodes
-        w = radius * complex(math.cos(th), math.sin(th))
-        acc += zeta_fn(w) * w
-    return acc / n_nodes
+    return _circle_coeff(zeta_fn, 0.0, -1, radius, n_nodes)
 
 
 # ---------------------------------------------------------------------------

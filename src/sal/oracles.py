@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .asymptotics import PoleDatum
-from .special import (EULER_GAMMA, bernoulli_number, digamma, epstein_Zd,
-                      epstein_residue_at_pole, gamma, hurwitz_zeta,
+from .special import (EULER_GAMMA, _circle_coeff, bernoulli_number, digamma,
+                      epstein_Zd, epstein_residue_at_pole, gamma, hurwitz_zeta,
                       riemann_zeta)
 from .spectra import PodlesParams, podles_diag_A
 
@@ -126,20 +126,6 @@ class CatalogZeta:
         )
 
 
-def _taylor_datum(fn: Callable[[complex], complex], z: complex,
-                  n_coeffs: int = 2) -> PoleDatum:
-    """Regular-point Laurent data {0: fn(z), 1: fn'(z), ...} by a circle fit."""
-    n_nodes, radius = 64, 0.25
-    vals = [fn(z + radius * cmath.exp(2j * math.pi * m / n_nodes))
-            for m in range(n_nodes)]
-    lau = {}
-    for j in range(n_coeffs):
-        acc = sum(v * cmath.exp(-2j * math.pi * m * j / n_nodes)
-                  for m, v in enumerate(vals))
-        lau[j] = acc / n_nodes / radius ** j
-    return PoleDatum(z, 0, lau)
-
-
 def _simple_pole_sequence(zeta_fn, pole_z: float, residue: float,
                           k_range: int, p: float, label: str,
                           extra_poles: list[tuple[float, float]] | None = None) -> CatalogZeta:
@@ -147,13 +133,10 @@ def _simple_pole_sequence(zeta_fn, pole_z: float, residue: float,
     def poles() -> list[PoleDatum]:
         out = []
         plist = [(pole_z, residue)] + (extra_poles or [])
-        pole_res = {z: r for z, r in plist}
         for z, r in plist:
-            dat = _taylor_datum(lambda s, _z=z: zeta_fn(s) - pole_res[_z] / (s - _z),
-                                z, n_coeffs=1)
-            lau = {-1: complex(r)}
-            lau[0] = dat.laurent[0]
-            out.append(PoleDatum(complex(z), 1, lau))
+            c0 = _circle_coeff(lambda s, _z=z, _r=r: zeta_fn(s) - _r / (s - _z),
+                               z, 0, 0.25, 64)
+            out.append(PoleDatum(complex(z), 1, {-1: complex(r), 0: c0}))
         for k in range(0, k_range + 1):
             zk = complex(-k)
             if any(abs(zk - complex(z)) < 1e-9 for z, _ in plist):

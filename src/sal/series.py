@@ -214,6 +214,8 @@ def _certified_sum(spectrum: Spectrum, block_terms, bound, tol: float,
     infinite bound where it is not tested.
     Returns (total, terms_used, tail_bound, converged, tested).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"need 0 < tol < inf, got tol={tol}")
     summer = PairwiseSummer()
     if seed is not None:
         summer.add(seed)
@@ -315,8 +317,8 @@ def heat_trace(spectrum: Spectrum, t: float, tol: float = 1e-12,
     The kernel enters with weight 1, i.e. the convention
     h(t) = Tr_{(1-P0)H} e^{-t|D|} + dim ker D.
     """
-    if t <= 0:
-        raise ValueError("heat_trace: need t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"heat_trace: need 0 < t < inf, got t={t}")
     meta, tail = spectrum.meta, spectrum.meta.tail
     base = float(meta.kernel_dim) if include_kernel and meta.kernel_dim else 0.0
     bound = {
@@ -353,6 +355,8 @@ def zeta_direct(spectrum: Spectrum, s: complex, tol: float = 1e-12,
     Refuses (DivergentSeriesError) unless Re(s) > dimension_p strictly.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"zeta_direct: need a finite s, got s={s}")
     meta, tail = spectrum.meta, spectrum.meta.tail
     sigma = s.real
     if not math.isfinite(meta.dimension_p) or sigma <= meta.dimension_p:
@@ -424,8 +428,8 @@ def spectral_action_direct(spectrum: Spectrum, f, lam: float,
     decay: p = inf is refused, and on a spectrum with polynomial growth a
     decay p <= dimension_p diverges (DivergentSeriesError).
     """
-    if lam <= 0:
-        raise ValueError("spectral_action_direct: need Lambda > 0")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"spectral_action_direct: need 0 < Lambda < inf, got {lam}")
     if not hasattr(f, "decay_certificate"):
         raise TypeError("spectral_action_direct: cutoff lacks a decay certificate")
     p_f, C_f, x0_f = f.decay_certificate

@@ -6,11 +6,12 @@ results are reproducible bit-for-bit across platforms:
   * gamma / log_gamma / digamma / trigamma -- Lanczos approximation with the
     coefficients embedded as literals (g = 7, n = 9), reflection formula on
     the left half-plane, recurrence + Bernoulli asymptotics for psi.
-  * gamma_laurent -- Laurent/Taylor coefficients of Gamma at any point via a
-    trapezoidal Cauchy integral on a small circle (spectrally accurate).
-  * riemann_zeta -- Borwein's accelerated alternating (eta) series for
-    Re(s) > 0 and the functional equation for Re(s) <= 0.
-  * hurwitz_zeta -- Euler--Maclaurin with an adaptive shift.
+  * gamma_laurent -- Laurent/Taylor coefficients of Gamma at any point via
+    `_circle_coeff`, the trapezoidal Cauchy integral on a small circle
+    (spectrally accurate) that the oracles and the finite tadpoles share.
+  * riemann_zeta -- hurwitz_zeta(s, 1).
+  * hurwitz_zeta -- Euler--Maclaurin with an adaptive shift; exact rationals
+    at nonpositive integers and the functional equation for Re(s) < 1/2.
   * epstein_Zd -- incomplete-gamma accelerated theta representation of the
     Epstein zeta of Z^d; globally meromorphic, single pole at s = d.
   * lattice_sq_counts -- the exact table r_d(m) = #{k in Z^d : |k|^2 = m}
@@ -169,6 +170,17 @@ def trigamma(z: complex) -> complex:
     return res + s
 
 
+def _circle_coeff(fn, z: complex, j: int, radius: float, n_nodes: int) -> complex:
+    """j-th Laurent coefficient of fn at z, Res_{s=z} (s-z)^{-j-1} fn(s), by the
+    trapezoidal rule on the circle |s - z| = radius (spectrally accurate when
+    fn has no other singularity within the circle and a little beyond)."""
+    acc = 0.0 + 0.0j
+    for m in range(n_nodes):
+        th = 2.0 * math.pi * m / n_nodes
+        acc += fn(z + radius * cmath.exp(1j * th)) * cmath.exp(-1j * th * j)
+    return acc / (n_nodes * radius ** j)
+
+
 def gamma_laurent(z: complex, j: int) -> complex:
     """j-th Laurent coefficient of Gamma at z:  Gamma_j(z) = Res_{s=z} (s-z)^{-j-1} Gamma(s).
 
@@ -191,15 +203,8 @@ def gamma_laurent(z: complex, j: int) -> complex:
             return gamma(z)
         if j == 1:
             return gamma(z) * digamma(z)
-    # Cauchy integral on a circle of radius r < 1/2 (next pole is >= 1 away)
-    r = 0.5
-    n_nodes = 128
-    acc = 0.0 + 0.0j
-    for m in range(n_nodes):
-        th = 2.0 * math.pi * m / n_nodes
-        w = r * cmath.exp(1j * th)
-        acc += gamma(z + w) * cmath.exp(-1j * th * j)
-    out = acc / (n_nodes * r ** j)
+    # the next pole is >= 1 away, so a circle of radius 1/2 holds only z
+    out = _circle_coeff(gamma, z, j, 0.5, 128)
     if abs(out.imag) < 1e-12 * (1.0 + abs(out.real)) and z.imag == 0.0:
         out = complex(out.real, 0.0)
     return out
@@ -209,50 +214,9 @@ def gamma_laurent(z: complex, j: int) -> complex:
 # Riemann and Hurwitz zeta
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _borwein_d(n: int) -> tuple[float, ...]:
-    # d_k = n * sum_{i=0}^{k} (n+i-1)! 4^i / ((n-i)! (2i)!)
-    d = []
-    acc = Fraction(0)
-    for i in range(n + 1):
-        acc += Fraction(math.factorial(n + i - 1) * 4 ** i,
-                        math.factorial(n - i) * math.factorial(2 * i))
-        d.append(acc * n)
-    return tuple(float(x) for x in d)
-
-
-def _eta_borwein(s: complex, n: int) -> complex:
-    d = _borwein_d(n)
-    dn = d[n]
-    acc = 0.0 + 0.0j
-    for k in range(n):
-        acc += (-1.0) ** k * (d[k] - dn) * cmath.exp(-s * math.log(k + 1))
-    return -acc / dn
-
-
 def riemann_zeta(s: complex) -> complex:
-    """Globally meromorphic Riemann zeta; raises at the pole s = 1."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-13:
-        raise PoleError("riemann_zeta: pole at s = 1")
-    if abs(s.imag) < 1e-14 and s.real <= 0.25 and abs(s.real - round(s.real)) < 1e-13:
-        return complex(float(zeta_nonpositive_int_rational(int(round(-s.real)))), 0.0)
-    if s.real < 0.0:
-        # zeta(s) = 2^s pi^{s-1} sin(pi s/2) Gamma(1-s) zeta(1-s)
-        pref = (2.0 ** s) * math.pi ** (s - 1.0) * cmath.sin(math.pi * s / 2.0)
-        out = pref * gamma(1.0 - s) * riemann_zeta(1.0 - s)
-        if s.imag == 0.0:
-            return complex(out.real, 0.0)
-        return out
-    denom = 1.0 - 2.0 ** (1.0 - s)
-    if abs(denom) < 1e-3:
-        # eta zeros on Re(s) = 1; fall back to the Euler-Maclaurin engine
-        return hurwitz_zeta(s, 1.0)
-    n = max(48, int(24 + 0.9 * abs(s.imag)))
-    out = _eta_borwein(s, n) / denom
-    if s.imag == 0.0:
-        return complex(out.real, 0.0)
-    return out
+    """Globally meromorphic Riemann zeta(s) = zeta(s, 1); raises at the pole s = 1."""
+    return hurwitz_zeta(s, 1.0)
 
 
 def zeta_nonpositive_int_rational(n: int, a: Fraction = Fraction(1)) -> Fraction:
@@ -262,6 +226,12 @@ def zeta_nonpositive_int_rational(n: int, a: Fraction = Fraction(1)) -> Fraction
     coeffs = bernoulli_poly_coeffs(n + 1)
     val = sum((c * a ** i for i, c in enumerate(coeffs)), Fraction(0))
     return -val / (n + 1)
+
+
+@lru_cache(maxsize=1)
+def _em_coeffs() -> tuple[float, ...]:
+    # B_{2k}/(2k)!, k = 1..14: the Euler--Maclaurin corrections of hurwitz_zeta
+    return tuple(float(bernoulli_number(2 * k)) / math.factorial(2 * k) for k in range(1, 15))
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:
@@ -303,7 +273,6 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
                 return complex(val.real, 0.0)
             return val
     N = max(18, int(10 + 0.85 * abs(s)), int(2.0 - a) + 1)
-    M = 14
     acc = 0.0 + 0.0j
     for n in range(N):
         acc += cmath.exp(-s * cmath.log(a + n))
@@ -314,8 +283,7 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     # sum_k B_{2k}/(2k)! * s(s+1)...(s+2k-2) * x^{-s-2k+1}
     poch = s  # (s)_1
     xp = cmath.exp((-s - 1.0) * lx)
-    for k in range(1, M + 1):
-        b = float(bernoulli_number(2 * k)) / math.factorial(2 * k)
+    for k, b in enumerate(_em_coeffs(), start=1):
         acc += b * poch * xp
         poch *= (s + 2 * k - 1) * (s + 2 * k)
         xp /= x * x

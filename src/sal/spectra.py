@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -346,7 +346,8 @@ def podles_spectrum(params: PodlesParams, simplified: bool = False) -> Spectrum:
         return after(n, v) - v
 
     def value_ratio_inf(n: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return after(n, v) / v
+        # [m+2]/[m+1] falls towards 1/q, so the infimum over m >= n is 1/q
+        return after(n, v) / v if simplified else np.full(v.shape, 1.0 / q)
 
     tail = ExponentialTail(mult_ratio_sup, gap_inf, value_ratio_inf)
     label = f"Podles q={q} ({'D_q^S' if simplified else 'D_q'})"
@@ -469,15 +470,3 @@ def save_spectrum_jsonl(path: str, spectrum: Spectrum, n: int) -> None:
                              "label": meta.label}) + "\n")
         for e in spectrum.take(n):
             fh.write(json.dumps({"value": e.value, "mult": e.mult}) + "\n")
-
-
-def merge_close_values(pairs: Iterable[tuple[float, int]],
-                       rel_tol: float = 1e-12) -> list[SpectrumEntry]:
-    """Group a sorted (value, mult) stream, merging values within rel_tol."""
-    out: list[SpectrumEntry] = []
-    for v, mlt in pairs:
-        if out and abs(v - out[-1].value) <= rel_tol * max(1.0, abs(v)):
-            out[-1] = SpectrumEntry(out[-1].value, out[-1].mult + mlt)
-        else:
-            out.append(SpectrumEntry(v, mlt))
-    return out

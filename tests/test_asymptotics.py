@@ -191,6 +191,23 @@ def test_ncints():
     assert abs(I[2] - fit) < 1e-8
 
 
+def test_ncint_from_heat_coeffs_at_regular_points():
+    # away from the poles of Gamma the inversion returns the Laurent data:
+    # I[k] = b_{-k}(z) at the S^3 poles z = 3, 1 and at podless z = kappa j
+    pp = PodlesParams(0.5, 1.0)
+    for cz, zs, d in ((catalog_zeta("s3"), (3.0, 1.0), 1),
+                      (catalog_zeta("podless", pp), [pp.kappa * j for j in (1, 2, 3)], 2)):
+        hexp = heat_expansion_from_poles(cz.poles(), default_scale(cz.dimension_p), d=d)
+        poles = {p.z: p for p in cz.poles()}
+        for z in zs:
+            a_map = {t.n: t.coeff for t in hexp.terms if abs(t.z - z) < 1e-12}
+            assert a_map
+            I = ncint_from_heat_coeffs(a_map, z, d)
+            for k in range(1, d + 1):
+                b = ncint(poles[complex(z)], k)
+                assert b != 0 and abs(I[k] - b) < 1e-12 * max(1.0, abs(b))
+
+
 def test_convergence_radius_cases():
     c, e, r = s1_radius_data()
     est = convergence_radius(c, e, r)

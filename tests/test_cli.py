@@ -163,3 +163,30 @@ def test_bad_spectrum_file_is_argument_error(tmp_path, capsys):
                     '{"value": 1.0, "mult": 2}\n{"value": NaN, "mult": 2}\n')
     code, out, err = run_cli(["heat", "--triple", f"file:{path}", "--t-grid", "1:1:1"], capsys)
     assert code == 2 and out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("triple", ["s3sq", "t3sq"])
+def test_compare_squared_triple_has_no_closed_form(capsys, triple):
+    # the S^3 and T^3 closed-form actions are of |D|; D^2 has no route
+    code, out, err = run_cli(["compare", "--triple", triple, "--cutoff", "gauss",
+                              "--lambda-grid", "4:16:3"], capsys)
+    assert code == 2 and out == "" and "no expansion route" in err
+
+
+def test_t3_ids_other_than_spin_codes_are_refused(capsys):
+    code, out, err = run_cli(["heat", "--triple", "t3xyz", "--t-grid", "0.5:1:2"], capsys)
+    assert code == 2 and out == "" and "unknown triple id 't3xyz'" in err
+    code, out, err = run_cli(["heat", "--triple", "t3:102", "--t-grid", "0.5:1:2"], capsys)
+    assert code == 2 and out == "" and "spin structure" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["action", "--triple", "s3", "--cutoff", "exp:nan", "--lambda-grid", "5:20:4"],
+    ["zeta", "--triple", "s1", "--s", "1e400,0"],
+    ["zeta", "--triple", "s1", "--s", "nan,0"],
+    ["heat", "--triple", "s1", "--t-grid", "nan:1:2"],
+    ["action", "--triple", "s3", "--cutoff", "gauss", "--lambda-grid", "inf:inf:1"],
+])
+def test_non_finite_inputs_are_argument_errors(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")

@@ -71,7 +71,7 @@ ZETA = [   # spectrum, s, options, terms_used, value, tail_bound, converged, cer
     ('s2', 3.5, {}, 2000002, complex(5.36594902806086, 0.0), 1.4849249829507148e-08, False, True),
     ('s2sq', 3.0, {'tol': 1e-14}, 4786, complex(4.147711020573478, 0.0), 5.146040000536907e-14, True, True),
     ('nct2', 3.0, {}, 1811, complex(19.91006495089893, 0.0), 0.2500549174393531, False, True),
-    ('podles', 2.0, {}, 22, complex(5.919697155194006, 0.0), 3.982537376801833e-12, True, True),
+    ('podles', 2.0, {}, 22, complex(5.919697155194006, 0.0), 3.982537376802292e-12, True, True),
     ('podless', 1.5, {}, 30, complex(6.217081527976627, 0.0), 3.6067963708252815e-12, True, True),
     ('podless', (2+5j), {}, 23, complex(0.37781125306916585, -1.4148270963282583), 1.0382283268400525e-12, True, True),
     ('podlessq', 2.0, {}, 11, complex(1.439999999999074, 0.0), 9.264784061886574e-13, True, True),

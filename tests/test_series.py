@@ -120,6 +120,23 @@ def test_zeta_refuses_below_p():
             zeta_direct(spec, s)
 
 
+@pytest.mark.parametrize("q, s, tol", [(0.99, 12.0, 1e-14), (0.99, 8.0, 1e-14),
+                                        (0.95, 12.0, 1e-12), (0.9, 16.0, 1e-12)])
+def test_zeta_full_podles_tail_within_bound(q, s, tol):
+    # the full D_q ratios [n+2]/[n+1] fall towards 1/q: the certified bound
+    # must hold the true tail sum_{n >= N} 4(n+1) |[n+1]|^{-s} (mpmath)
+    import mpmath as mp
+    rep = zeta_direct(podles_spectrum(PodlesParams(q, 1.0)), s, tol=tol)
+    assert rep.converged and rep.certified
+    with mp.workdps(40):
+        L = -mp.log(mp.mpf(q))
+        true_tail, n, term = mp.mpf(0), rep.terms_used, mp.mpf(1)
+        while term > 1e-30 * true_tail:      # the terms fall geometrically
+            term = 4 * (n + 1) * (mp.sinh((n + 1) * L) / mp.sinh(L)) ** (-s)
+            true_tail, n = true_tail + term, n + 1
+    assert true_tail <= rep.tail_bound
+
+
 def test_zeta_richardson_accuracy():
     s1 = sphere_spectrum(1, "trivial")
     val = zeta_richardson(s1, 2.0, include_kernel=False)

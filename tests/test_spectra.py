@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from sal.spectra import (PodlesParams, load_spectrum_jsonl, merge_close_values,
-                         nctorus_spectrum, podles_diag_A, podles_spectrum,
-                         save_spectrum_jsonl, sphere_spectrum, torus_spectrum)
+from sal.spectra import (PodlesParams, load_spectrum_jsonl, nctorus_spectrum,
+                         podles_diag_A, podles_spectrum, save_spectrum_jsonl,
+                         sphere_spectrum, torus_spectrum)
 
 
 def test_sphere_examples():
@@ -162,13 +162,6 @@ def test_jsonl_rejects_nonincreasing(tmp_path):
     path.write_text("\n".join(json.dumps(r) for r in rows))
     with pytest.raises(ValueError, match="strictly increasing"):
         load_spectrum_jsonl(str(path))
-
-
-def test_merge_close_values():
-    pairs = [(1.0, 2), (1.0 + 1e-14, 3), (2.0, 1)]
-    merged = merge_close_values(pairs)
-    assert len(merged) == 2
-    assert merged[0].mult == 5
 
 
 def test_squared_spectrum():
