@@ -20,8 +20,7 @@ from .finite import (FiniteTriple, GaugePotential, fluctuate, gauge_transform,
                      h_polynomial, index_of, mckean_singer,
                      perturbation_polynomials, topological_action, validate)
 from .oracles import catalog_zeta, epstein_residue, podles_heat_exact, s1_heat_exact
-from .series import (DivergentSeriesError, GeneralDirichletSeries,
-                     TruncationReport, abscissa_estimate, averaged_counting,
+from .series import (DivergentSeriesError, TruncationReport, averaged_counting,
                      counting, dixmier_estimate, heat_trace, mellin_check,
                      partial_trace, spectral_action_direct, zeta_direct)
 from .special import (bernoulli_number, epstein_Zd, gamma, gamma_laurent,

@@ -3,10 +3,8 @@
 A cut-off f = L[phi] is represented by its measure phi, decomposed into
 atoms, gamma-type densities, window (indicator) densities and quadrature
 densities (nodes + weights, used for tabulated measures and convolutions).
-The class membership data is carried explicitly:
-
-  * decay certificate (p, C, x0):  f(x) <= C x^{-p} for x >= x0,
-  * moment bound order (infinity for all measures used here).
+The class membership data is carried explicitly as the decay certificate
+(p, C, x0):  f(x) <= C x^{-p} for x >= x0.
 
 Pointwise evaluation of products multiplies the factors' closed forms
 (L[phi * chi] = L[phi] L[chi]), so direct summation stays cheap even when
@@ -24,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import digamma, gamma, log_gamma, trigamma
+from .special import digamma, log_gamma, trigamma
 
 __all__ = [
     "Atom",

@@ -416,8 +416,7 @@ def zeta0_fluctuation_check(triple: FiniteTriple, A: np.ndarray | GaugePotential
     return abs(zA - z0)
 
 
-def tadpole_residue(triple: FiniteTriple, A: np.ndarray | GaugePotential,
-                    radius: float = 0.25, n_nodes: int = 64) -> complex:
+def tadpole_residue(triple: FiniteTriple, A: np.ndarray | GaugePotential) -> complex:
     """ncint A D^{-1} = Res_{s=0} Tr(A D^{-1} |D|^{-s}): 0 for finite triples.
 
     Computed honestly as a Cauchy circle integral of the (entire) zeta.
@@ -432,7 +431,7 @@ def tadpole_residue(triple: FiniteTriple, A: np.ndarray | GaugePotential,
         return complex(sum(K[i, i] / safe[i] * abs(safe[i]) ** (-s)
                            for i in range(len(vals))))
 
-    return _circle_coeff(zeta_fn, 0.0, -1, radius, n_nodes)
+    return _circle_coeff(zeta_fn, 0.0, -1, 0.25, 64)
 
 
 # ---------------------------------------------------------------------------

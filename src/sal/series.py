@@ -13,8 +13,8 @@ sizes.  Heat-trace exponentials and the reported tail bounds are libm's.
 
 Tail bounds follow the spectrum's declared growth model:
 polynomial-counting spectra use an incomplete-gamma integral comparison,
-exponential spectra a geometric bound from certified gap/multiplicity
-ratios, and the log-square family a dedicated substitution bound.
+exponential spectra a geometric bound from the growth ratio, and the
+log-square family a dedicated substitution bound.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from types import SimpleNamespace
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,9 +40,7 @@ log = logging.getLogger(__name__)
 __all__ = [
     "DivergentSeriesError",
     "TruncationReport",
-    "GeneralDirichletSeries",
     "PairwiseSummer",
-    "abscissa_estimate",
     "heat_trace",
     "zeta_direct",
     "zeta_richardson",
@@ -71,13 +69,6 @@ class TruncationReport:
 
     def __float__(self) -> float:
         return float(self.value.real if isinstance(self.value, complex) else self.value)
-
-
-@dataclass
-class GeneralDirichletSeries:
-    """sum_n a_n e^{-s b_n} with b_n strictly increasing to infinity."""
-    a: Callable[[int], complex]
-    b: Callable[[int], float]
 
 
 class PairwiseSummer:
@@ -283,6 +274,17 @@ def _poly_power_tail(tail: PolynomialTail, sigma: float, X: np.ndarray, xp) -> n
     return sigma * A * xp.power((c + X) / X, P) * xp.power(X, P - sigma) / (sigma - P)
 
 
+def _power_tail(tail, sigma: float):
+    """bound(cols, xp) on sum_{m>n} M_m mu_m^{-sigma} for a polynomial or
+    exponential tail model, None for any other."""
+    if isinstance(tail, PolynomialTail):
+        return lambda c, xp: _poly_power_tail(tail, sigma, c.v, xp)
+    if isinstance(tail, ExponentialTail):
+        return lambda c, xp: _geometric(c.m * xp.power(c.v, -sigma),
+                                        (c.n + 2) / (c.n + 1) * tail.ratio ** -sigma)
+    return None
+
+
 def _logsq_heat_tail(tail: LogSquareTail, t: float, n, term, xp) -> np.ndarray:
     X = n + tail.shift + 1.0
     lead = 2.0 * t * xp.log(X)
@@ -323,8 +325,9 @@ def heat_trace(spectrum: Spectrum, t: float, tol: float = 1e-12,
     base = float(meta.kernel_dim) if include_kernel and meta.kernel_dim else 0.0
     bound = {
         PolynomialTail: lambda c, xp: _poly_heat_tail(tail, t, c.v, xp),
+        # mu_{m+1} - mu_m >= (ratio - 1) mu_n for every m >= n
         ExponentialTail: lambda c, xp: _geometric(
-            c.x, tail.mult_ratio_sup(c.n) * xp.exp(-t * tail.gap_inf(c.n, c.v))),
+            c.x, (c.n + 2) / (c.n + 1) * xp.exp(-t * (tail.ratio - 1.0) * c.v)),
         LogSquareTail: lambda c, xp: _logsq_heat_tail(tail, t, c.n, c.x, xp),
     }.get(type(tail))
     window = None
@@ -369,12 +372,7 @@ def zeta_direct(spectrum: Spectrum, s: complex, tol: float = 1e-12,
         x = m * v ** (-sigma)
         return x * np.exp(-1j * s.imag * np.log(v)) if s.imag else x, None, n >= 4, None
 
-    bound = {
-        PolynomialTail: lambda c, xp: _poly_power_tail(tail, sigma, c.v, xp),
-        ExponentialTail: lambda c, xp: _geometric(
-            np.abs(c.m * xp.power(c.v, -sigma)),
-            tail.mult_ratio_sup(c.n) * xp.power(tail.value_ratio_inf(c.n, c.v), -sigma)),
-    }.get(type(tail))
+    bound = _power_tail(tail, sigma)
     total, terms, tail_bound, converged, tested = _certified_sum(
         spectrum, block_terms, bound, tol,
         seed=float(meta.kernel_dim) if include_kernel and meta.kernel_dim else None)
@@ -449,12 +447,9 @@ def spectral_action_direct(spectrum: Spectrum, f, lam: float,
         return (m * f.evaluate(x), x, (n >= 4) & (x >= x0_f),
                 int(beyond[0]) if len(beyond) else None)
 
-    bound = None if edge is not None else {         # an edge ends the sum
-        PolynomialTail: lambda c, xp: C_f * lam ** p_f * _poly_power_tail(tail, p_f, c.v, xp),
-        ExponentialTail: lambda c, xp: _geometric(
-            c.m * C_f * xp.power(c.aux, -p_f),
-            tail.mult_ratio_sup(c.n) * xp.power(tail.value_ratio_inf(c.n, c.v), -p_f)),
-    }.get(type(tail))
+    # f(x) <= C_f x^{-p_f} from x0_f on; an edge ends the sum
+    power = None if edge is not None else _power_tail(tail, p_f)
+    bound = None if power is None else lambda c, xp: C_f * lam ** p_f * power(c, xp)
     total, terms, tail_bound, converged, tested = _certified_sum(
         spectrum, block_terms, bound, tol, base=base)
     certified = isinstance(tail, (PolynomialTail, ExponentialTail)) or not tested
@@ -543,34 +538,6 @@ def dixmier_estimate(spectrum: Spectrum, exponent: float, N: int) -> float:
     r1, r2 = tr_over_log(N), tr_over_log(N // 2)
     h1, h2 = 1.0 / math.log(N), 1.0 / math.log(N // 2)
     return (r1 * h2 - r2 * h1) / (h2 - h1)
-
-
-# ---------------------------------------------------------------------------
-# Abscissa of convergence
-# ---------------------------------------------------------------------------
-
-def abscissa_estimate(series: GeneralDirichletSeries, n_probe: int) -> float:
-    """Empirical limsup of b_n^{-1} log|a_0 + ... + a_n| (clamped at 0).
-
-    Uses a monotone envelope over the trailing half of the probe range.
-    """
-    if n_probe < 10:
-        raise ValueError("abscissa_estimate: need n_probe >= 10")
-    acc = 0.0 + 0.0j
-    vals: list[float] = []
-    for n in range(n_probe):
-        acc += series.a(n)
-        b = series.b(n)
-        if b <= 0:
-            continue
-        mag = abs(acc)
-        if mag < 1e-280:
-            continue
-        vals.append(math.log(mag) / b)
-    if not vals:
-        return 0.0
-    window = vals[len(vals) // 2:]
-    return max(0.0, max(window))
 
 
 # ---------------------------------------------------------------------------

@@ -301,9 +301,10 @@ def upper_gamma(a: complex, x):
 
     Below x = 0.5, Gamma(a) minus the power series of the lower function
     gamma(a, x).  From x = 0.5 on (and at nonpositive integer a, where
-    Gamma(a) has its poles and the fraction is accurate from x ~ 0.3), shift
-    Re(a) into (-1, 0] so the Lentz continued fraction converges fast, then
-    climb back up with Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}.
+    Gamma(a) has its poles and the fraction is accurate from x = 0.3 on, so
+    smaller x is refused), shift Re(a) into (-1, 0] so the Lentz continued
+    fraction converges fast, then climb back up with
+    Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}.
 
     An array x (real a > 0) gives a real array from scipy's regularized
     `gammaincc`; the summation engines screen whole blocks of tail bounds
@@ -317,6 +318,8 @@ def upper_gamma(a: complex, x):
         return gamma(a).real * gammaincc(a.real, x)
     if x <= 0.0:
         raise ValueError("upper_gamma: need x > 0")
+    if x < 0.3 and _is_nonpositive_int(a):
+        raise ValueError(f"upper_gamma: need x >= 0.3 at a = {a.real:g}, got x={x}")
     if x < 0.5 and not _is_nonpositive_int(a):
         # Gamma(a) - gamma(a, x), gamma(a, x) = x^a e^{-x} sum_n x^n / (a)_{n+1};
         # the terms fall once n > -Re(a)

@@ -58,27 +58,20 @@ class PolynomialTail:
     """Counting-function bound N(L) <= coeff * (offset + L)^power."""
     coeff: float
     power: float
-    offset: float = 1.0
+    offset: float
 
 
 @dataclass(frozen=True)
 class ExponentialTail:
-    """Geometric tails: sup_{m>=n} M_{m+1}/M_m and inf_{m>=n} of gaps/ratios.
-
-    `mult_ratio_sup(n)` bounds the multiplicity growth from index n on,
-    `gap_inf(n, mu)` the additive gap mu_{n+1}-mu_n, and
-    `value_ratio_inf(n, mu)` the multiplicative gap mu_{n+1}/mu_n.  n is a
-    run of consecutive indices and mu their values mu_n.
-    """
-    mult_ratio_sup: Callable[[np.ndarray], np.ndarray]
-    gap_inf: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    value_ratio_inf: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    """Geometric growth: mu_{m+1} >= ratio * mu_m for every m, and
+    M_{m+1}/M_m <= (n+2)/(n+1) for every m >= n."""
+    ratio: float
 
 
 @dataclass(frozen=True)
 class LogSquareTail:
     """mu_n = ln^2(n + shift), M_n = 1: heat tails via u = ln x substitution."""
-    shift: float = 2.0
+    shift: float
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,7 @@ class SpectrumMeta:
     dimension_p: float
     kernel_dim: int
     label: str
-    tail: object | None = None  # PolynomialTail | ExponentialTail | LogSquareTail
+    tail: object | None  # PolynomialTail | ExponentialTail | LogSquareTail
 
 
 Block = tuple[np.ndarray, np.ndarray]   # (values float64, multiplicities)
@@ -157,20 +150,8 @@ class Spectrum:
             tail = PolynomialTail(tail.coeff, tail.power / 2.0,
                                   offset=(tail.offset + 1.0) ** 2)
         elif isinstance(tail, ExponentialTail):
-            # the block holds mu_n^2, and sqrt(fl(mu^2)) is mu exactly
-            base = tail
-
-            def gap_inf(n, mu_sq, _b=base):
-                # (mu_{n+1}^2 - mu_n^2) >= gap * (mu_{n+1} + mu_n) >= gap * 2 mu_n
-                mu = np.sqrt(mu_sq)
-                return _b.gap_inf(n, mu) * 2.0 * mu
-
-            tail = ExponentialTail(
-                mult_ratio_sup=base.mult_ratio_sup,
-                gap_inf=gap_inf,
-                value_ratio_inf=lambda n, mu_sq, _b=base:
-                    _b.value_ratio_inf(n, np.sqrt(mu_sq)) ** 2,
-            )
+            # mu^2 grows by ratio^2; the product overflows to inf where ** raises
+            tail = ExponentialTail(tail.ratio * tail.ratio)
         new_meta = SpectrumMeta(meta.dimension_p / 2.0, meta.kernel_dim,
                                 meta.label + "^2", tail)
         base_blocks = self._blocks
@@ -336,22 +317,9 @@ def podles_spectrum(params: PodlesParams, simplified: bool = False) -> Spectrum:
         except OverflowError:
             return math.inf
 
-    def mult_ratio_sup(n: np.ndarray) -> np.ndarray:
-        return (n + 2) / (n + 1)
-
-    def after(n: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.concatenate((v[1:], [mu(int(n[-1]) + 1)]))     # mu_{n+1}
-
-    def gap_inf(n: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return after(n, v) - v
-
-    def value_ratio_inf(n: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # [m+2]/[m+1] falls towards 1/q, so the infimum over m >= n is 1/q
-        return after(n, v) / v if simplified else np.full(v.shape, 1.0 / q)
-
-    tail = ExponentialTail(mult_ratio_sup, gap_inf, value_ratio_inf)
     label = f"Podles q={q} ({'D_q^S' if simplified else 'D_q'})"
-    meta = SpectrumMeta(0.0, 0, label, tail=tail)
+    # mu_{n+1}/mu_n is 1/q for D_q^S, and [n+2]/[n+1] falls towards 1/q for D_q
+    meta = SpectrumMeta(0.0, 0, label, tail=ExponentialTail(1.0 / q))
 
     def block(lo: int, hi: int) -> np.ndarray:
         # mu on a block, mapping libm's pow or sinh as the scalar formula does

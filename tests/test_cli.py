@@ -190,3 +190,16 @@ def test_t3_ids_other_than_spin_codes_are_refused(capsys):
 def test_non_finite_inputs_are_argument_errors(capsys, args):
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["action", "--triple", "s3", "--cutoff", "exp:1e-300", "--lambda-grid", "5:20:4"],
+    ["action", "--triple", "s3", "--cutoff", "powerlaw:1e-300,1,5", "--lambda-grid", "5:20:4"],
+    ["action", "--triple", "s3", "--cutoff", "window:1e-300,1", "--lambda-grid", "5:20:4"],
+    ["compare", "--triple", "s3", "--cutoff", "gauss:1e-300", "--lambda-grid", "4:16:3"],
+    ["heat", "--triple", "t3:100", "--t-grid", "0.5:1:2", "--lattice-cut", "1e300"],
+])
+def test_overflowing_parameters_are_argument_errors(capsys, args):
+    # each overflows (or divides by zero) while building the cut-off or the spectrum
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == "" and err.startswith("error:")

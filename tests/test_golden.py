@@ -54,10 +54,10 @@ HEAT = [   # spectrum, t, options, terms_used, value, tail_bound, converged, cer
     ('nct2', 0.5, {}, 1400, 50.493090371746, 5.090126592372944e-11, True, True),
     ('nct2sq', 0.05, {'tol': 1e-13}, 235, 125.66370614359157, 1.1685378206210207e-11, True, True),
     ('t3', 0.3, {}, 365, 7.534691292578097, 4.138177428974084e-11, False, True),
-    ('podles', 0.3, {}, 7, 9.920200763661594, 1.860423417589316e-21, True, True),
+    ('podles', 0.3, {}, 7, 9.920200763661594, 1.8647888987742307e-21, True, True),
     ('podless', 0.05, {}, 9, 39.44566969722657, 5.999867980463628e-14, True, True),
     ('podless', 1.0, {'tol': 1e-14}, 5, 1.6685645186558675, 7.084567580812618e-18, True, True),
-    ('podlessq', 0.01, {}, 6, 25.74916837394277, 5.356593948394061e-23, True, True),
+    ('podlessq', 0.01, {}, 6, 25.74916837394277, 6.6496526166984385e-31, True, True),
     ('logsq', 1.5, {'tol': 1e-09}, 44, 0.7410341798256203, 1.5933750865905606e-09, True, True),
     ('jsonl', 0.5, {}, 62, 15.670792356117355, 1.379784862504854e-11, True, False),
     ('jsonl', 0.01, {}, 300, 32063.5747791169, math.inf, False, False),
@@ -89,9 +89,9 @@ ACTION = [   # spectrum, cut-off, Lambda, terms_used, value, tail_bound, converg
     ('s3', 'sharp', 40.5, 41, 45920.0, 0.0, True, True),
     ('s1', 'sharp', 5.5, 6, 11.0, 0.0, True, True),
     ('s1', 'powerlaw:1,1,3', 3.0, 2000002, 3.1610727706113417, 2.0249969625030375e-11, False, True),
-    ('podless', 'exp:1', 10.0, 8, 24.88536657202477, 2.201196113370824e-11, True, True),
-    ('podless', 'gauss', 100.0, 11, 94.15110676219163, 3.262831439922862e-14, True, True),
-    ('podless', 'nulltaylor', 10.0, 39, 31.647241987522133, 1.4275948164816007e-11, True, True),
+    ('podless', 'exp:1', 10.0, 8, 24.88536657202477, 2.2011961133708257e-11, True, True),
+    ('podless', 'gauss', 100.0, 11, 94.15110676219163, 3.262831439922861e-14, True, True),
+    ('podless', 'nulltaylor', 10.0, 39, 31.647241987522133, 1.4275948164816008e-11, True, True),
     ('nct2', 'gauss', 20.0, 1811, 2513.2738341494364, 0.3565393271748477, False, True),
     ('jsonl', 'exp:1', 3.0, 300, 35.66851038502603, math.inf, False, False),
 ]

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from sal.cutoffs import (Atom, CutoffFunction, IndicatorCutoff, exp_cutoff,
                          gaussian_cutoff, null_taylor_cutoff)
-from sal.series import (DivergentSeriesError, GeneralDirichletSeries,
-                        PairwiseSummer, abscissa_estimate, averaged_counting,
+from sal.series import (DivergentSeriesError, PairwiseSummer, averaged_counting,
                         counting, dixmier_estimate, heat_trace, mellin_check,
                         partial_trace, spectral_action_direct, zeta_direct,
                         zeta_richardson)
@@ -137,6 +136,36 @@ def test_zeta_full_podles_tail_within_bound(q, s, tol):
     assert true_tail <= rep.tail_bound
 
 
+@pytest.mark.parametrize("q", [0.3, 0.9, 0.99])
+@pytest.mark.parametrize("simplified, squared",
+                         [(False, False), (False, True), (True, False), (True, True)])
+@pytest.mark.parametrize("engine, param", [("heat", 0.01), ("heat", 0.3), ("zeta", 2.0),
+                                           ("zeta", 12.0), ("action", 10.0), ("action", 100.0)])
+def test_podles_certificates_vs_mpmath(engine, param, simplified, squared, q):
+    # the value must lie within its certified tail bound of the whole sum
+    # sum_n 4(n+1) g(mu_n) in mpmath, for D_q and D_q^S and their squares
+    import mpmath as mp
+    spec = podles_spectrum(PodlesParams(q, 1.0), simplified=simplified)
+    spec = spec.squared() if squared else spec
+    if engine == "heat":
+        rep, g = heat_trace(spec, param, tol=1e-12), lambda mu: mp.exp(-param * mu)
+    elif engine == "zeta":
+        rep, g = zeta_direct(spec, param, tol=1e-12), lambda mu: mu ** -param
+    else:
+        rep = spectral_action_direct(spec, exp_cutoff(1.0), param, tol=1e-12)
+        g = lambda mu: mp.exp(-mu / param)
+    assert rep.converged and rep.certified
+    with mp.workdps(30):
+        qm = mp.mpf(q)
+        L, u = -mp.log(qm), qm / (1 - qm * qm)
+        total, n, term = mp.mpf(0), 0, mp.mpf(1)
+        while n <= rep.terms_used or term > 1e-30 * total:
+            mu = u * qm ** -(n + 1) if simplified else mp.sinh((n + 1) * L) / mp.sinh(L)
+            term = 4 * (n + 1) * g(mu * mu if squared else mu)
+            total, n = total + term, n + 1
+    assert abs(rep.value - total) <= rep.tail_bound + 1e-13 * (abs(total) + 1)
+
+
 def test_zeta_richardson_accuracy():
     s1 = sphere_spectrum(1, "trivial")
     val = zeta_richardson(s1, 2.0, include_kernel=False)
@@ -239,29 +268,6 @@ def test_dixmier_trace_class():
     s2 = sphere_spectrum(2)
     est = dixmier_estimate(s2, 4.0, 10 ** 5)
     assert abs(est) < 1e-3
-
-
-# ---------------------------------------------------------------------------
-# abscissa
-# ---------------------------------------------------------------------------
-
-def test_abscissa_riemann():
-    ser = GeneralDirichletSeries(a=lambda n: 1.0, b=lambda n: math.log(n + 1.0))
-    assert abs(abscissa_estimate(ser, 10 ** 5) - 1.0) < 0.05
-
-
-def test_abscissa_heat_series():
-    s1 = sphere_spectrum(1, "trivial")
-    entries = s1.take(2000)
-    ser = GeneralDirichletSeries(a=lambda n: entries[n].mult,
-                                 b=lambda n: entries[n].value)
-    assert abscissa_estimate(ser, 2000) < 0.01
-
-
-def test_abscissa_eta():
-    ser = GeneralDirichletSeries(a=lambda n: (-1.0) ** n,
-                                 b=lambda n: math.log(n + 1.0))
-    assert abscissa_estimate(ser, 10 ** 4) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

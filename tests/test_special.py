@@ -271,3 +271,17 @@ def test_upper_gamma_real_grid_exactly_real():
             val = upper_gamma(a, x)
             assert val.imag == 0.0
             assert abs(val.real - float(mp.gammainc(a, x))) <= 1e-12 * val.real
+
+
+@pytest.mark.parametrize("a, x", [(0, 1e-3), (-1, 0.01)])
+def test_upper_gamma_refuses_small_x_at_nonpositive_integers(a, x):
+    # the continued fraction has not converged there (5e-4 and 3e-5 relative off)
+    with pytest.raises(ValueError):
+        upper_gamma(a, x)
+
+
+@pytest.mark.parametrize("a", [0, -1, -2, -3])
+def test_upper_gamma_nonpositive_integers_vs_mpmath(a):
+    for x in (0.3, 0.5, 1.0, 3.0):
+        ref = complex(mp.gammainc(a, x))
+        assert abs(upper_gamma(a, x) - ref) <= 1e-13 * abs(ref), (a, x)
