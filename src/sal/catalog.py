@@ -41,6 +41,14 @@ def default_scale(p: float, n_strips: int = 24) -> list[float]:
     return [r0 + k for k in range(n_strips)]
 
 
+def _lattice(build: Callable[[], Spectrum], lattice_cut: float) -> Spectrum:
+    # the cut is a torus spectrum's only numeric input: an overflow is its fault
+    try:
+        return build()
+    except ArithmeticError as exc:
+        raise ValueError(f"lattice cut {lattice_cut:g} is out of range ({exc})") from None
+
+
 def resolve_triple(triple_id: str, lattice_cut: float = 80.0) -> ResolvedTriple:
     tid = triple_id.strip()
     name, sep, arg = tid.partition(":")
@@ -70,12 +78,13 @@ def resolve_triple(triple_id: str, lattice_cut: float = 80.0) -> ResolvedTriple:
         code = base[3:] if base != "t3" else "000"
         if len(code) != 3 or any(ch not in "01" for ch in code):
             raise ValueError(f"bad T^3 spin structure {code!r}")
-        spec = torus_spectrum(3, tuple(int(ch) for ch in code),
-                              radius_cut=lattice_cut / (2.0 * math.pi))
+        spec = _lattice(lambda: torus_spectrum(3, tuple(int(ch) for ch in code),
+                                               radius_cut=lattice_cut / (2.0 * math.pi)),
+                        lattice_cut)
         zeta, action = None, t3_action
     elif base in ("nct2", "nct4"):
         d = int(base[3:])
-        spec = nctorus_spectrum(d, radius_cut=lattice_cut)
+        spec = _lattice(lambda: nctorus_spectrum(d, radius_cut=lattice_cut), lattice_cut)
         zeta = catalog_zeta(base)
     elif base.startswith("podles:") or base.startswith("podless:"):
         simplified = base.startswith("podless:")

@@ -51,11 +51,28 @@ def _grid(text: str) -> list[float]:
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
+def _in_range(name: str, value, build):
+    """build(), an ArithmeticError on the way reported as `name value` out of range."""
+    try:
+        return build()
+    except ArithmeticError as exc:
+        raise ValueError(f"{name} {value} is out of range ({exc})") from None
+
+
+def _triple(args):
+    return _in_range("triple", args.triple,
+                     lambda: resolve_triple(args.triple, lattice_cut=args.lattice_cut))
+
+
+def _cutoff(args):
+    return _in_range("cutoff", args.cutoff, lambda: parse_cutoff(args.cutoff))
+
+
 def _sweep(key: str, grid: str, engine, fmt: str) -> int:
     """One row per grid point x of the report engine(x); exit 3 unless all converged."""
     rows = []
     for x in _grid(grid):
-        rep = engine(x)
+        rep = _in_range(key, repr(x), lambda: engine(x))
         rows.append({key: x, "value": float(rep.value),
                      "terms": rep.terms_used, "tail_bound": rep.tail_bound,
                      "converged": rep.converged})
@@ -64,13 +81,13 @@ def _sweep(key: str, grid: str, engine, fmt: str) -> int:
 
 
 def _cmd_heat(args) -> int:
-    spec = resolve_triple(args.triple, lattice_cut=args.lattice_cut).spectrum
+    spec = _triple(args).spectrum
     return _sweep("t", args.t_grid, lambda t: series.heat_trace(spec, t, tol=args.tol),
                   args.format)
 
 
 def _cmd_zeta(args) -> int:
-    rt = resolve_triple(args.triple, lattice_cut=args.lattice_cut)
+    rt = _triple(args)
     re_s, im_s = (float(v) for v in args.s.split(","))
     rep = series.zeta_direct(rt.spectrum, complex(re_s, im_s), tol=args.tol)
     rows = [{"re_s": re_s, "im_s": im_s,
@@ -82,8 +99,8 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_action(args) -> int:
-    spec = resolve_triple(args.triple, lattice_cut=args.lattice_cut).spectrum
-    f = parse_cutoff(args.cutoff)
+    spec = _triple(args).spectrum
+    f = _cutoff(args)
     return _sweep("lambda", args.lambda_grid,
                   lambda lam: series.spectral_action_direct(spec, f, lam, tol=args.tol),
                   args.format)
@@ -102,10 +119,10 @@ def _build_expansion(rt, args):
 
 
 def _cmd_expand(args) -> int:
-    rt = resolve_triple(args.triple, lattice_cut=args.lattice_cut)
+    rt = _triple(args)
     exp = _build_expansion(rt, args)
     if args.cutoff:
-        exp = asymptotics.action_expansion(exp, parse_cutoff(args.cutoff),
+        exp = asymptotics.action_expansion(exp, _cutoff(args),
                                            d=rt.zeta.pole_order,
                                            spectrum_p=rt.zeta.dimension_p)
     terms = sorted(exp.terms, key=lambda t: (t.strip, -t.z.real, t.z.imag, t.n))
@@ -117,8 +134,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rt = resolve_triple(args.triple, lattice_cut=args.lattice_cut)
-    f = parse_cutoff(args.cutoff)
+    rt = _triple(args)
+    f = _cutoff(args)
     lams = _grid(args.lambda_grid)
     by_poles = rt.zeta is not None and not f.is_schwartz_only()
     if not by_poles and rt.action is None:
@@ -190,7 +207,7 @@ def _cmd_finite(args) -> int:
 
 
 def _cmd_radius(args) -> int:
-    rt = resolve_triple(args.triple, lattice_cut=args.lattice_cut)
+    rt = _triple(args)
     if rt.radius_data is None:
         raise ValueError(f"no radius data for {rt.triple_id}")
     c, e, r = rt.radius_data

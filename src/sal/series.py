@@ -14,7 +14,12 @@ sizes.  Heat-trace exponentials and the reported tail bounds are libm's.
 Tail bounds follow the spectrum's declared growth model:
 polynomial-counting spectra use an incomplete-gamma integral comparison,
 exponential spectra a geometric bound from the growth ratio, and the
-log-square family a dedicated substitution bound.
+log-square family a dedicated substitution bound.  On the round spheres the
+data are exact (singular values n + c, multiplicities a polynomial in them),
+and heat traces of |D|, zeta values of |D| and D^2, and `exp`-atom and
+`powerlaw` actions add a closed-form Euler--Maclaurin estimate of the tail
+(`summation.em_tail`) and certify only its remainder: a few to a few dozen
+terms instead of up to 2e6.
 """
 
 from __future__ import annotations
@@ -32,8 +37,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 
+from .cutoffs import Atom, GammaDensity
 from .special import gamma, riemann_zeta, upper_gamma
-from .spectra import ExponentialTail, LogSquareTail, PolynomialTail, Spectrum, block_ranges
+from .spectra import (ExponentialTail, LogSquareTail, PolynomialTail, SphereTail, Spectrum,
+                      block_ranges)
+from .summation import em_tail
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +69,14 @@ class DivergentSeriesError(ValueError):
 
 @dataclass
 class TruncationReport:
+    """A certified sum: |value - exact| <= tail_bound, up to rounding, when `certified`.
+
+    `terms_used` counts the summed terms (the head).  Where the tail has a
+    closed-form Euler--Maclaurin estimate (round spheres; see the module
+    docstring), value = head + estimate and `tail_bound` bounds the
+    Euler--Maclaurin remainder; elsewhere the estimate is 0 and `tail_bound`
+    bounds the whole tail.
+    """
     value: complex
     terms_used: int
     tail_bound: float
@@ -183,11 +199,18 @@ _SCREEN = 1e-9
 _EPS = np.finfo(float).eps
 
 
-def _tails(bound, cols: _Cols, xp) -> np.ndarray:
+def _tails(bound, cols: _Cols, xp):
+    """(estimate, bound) of the tails past each index of cols."""
     if bound is None:
-        return np.full(cols.n.size, math.inf)
+        return 0.0, np.full(cols.x.size, math.inf)
     with np.errstate(all="ignore"):     # inf and nan are bounds like any other
         return bound(cols, xp)
+
+
+def _tail_at(bound, cols: _Cols) -> tuple[float | complex, float]:
+    """libm's (estimate, bound) at the single index of cols."""
+    est, tail = _tails(bound, cols, _LIBM)
+    return (est if np.ndim(est) == 0 else est[0].item()), float(tail[0])
 
 
 def _certified_sum(spectrum: Spectrum, block_terms, bound, tol: float,
@@ -195,14 +218,17 @@ def _certified_sum(spectrum: Spectrum, block_terms, bound, tol: float,
     """Sum a spectrum's terms up to the first certified stop.
 
     `block_terms(n, v, m)` gives a block's terms (real or complex), its `aux`
-    column, the mask of indices where the stop is tested, and the index of a
-    sharp edge ending the sum (or None); `bound(cols, xp)` gives tail bounds
-    (None: no certificate).  The stop is the first tested n with bound
-    < tol (|base + S_n| + 1), S_n the running sum from `seed`.  Indices that
-    pass a screen on cumulative sums (widened by their rounding error) are
-    tested on the exact sum and libm bound, so it is the term-by-term stop.
-    Index _MAX_TERMS + 1 ends the sum unconverged in any case, with an
-    infinite bound where it is not tested.
+    column, the mask of indices where the tail bound holds, and the index of
+    a sharp edge ending the sum (or None); `bound(cols, xp)` gives the tails
+    past each index as (estimate, bound) with |tail - estimate| <= bound
+    (None: no certificate).  The stop is the first n >= 4 where the bound
+    holds and is < tol (|base + S_n + estimate| + 1), S_n the running sum from
+    `seed`; the total is S_n + estimate there.  Indices that pass a screen on
+    cumulative sums (widened by their rounding error) are tested on the exact
+    sum and libm bound, so it is the term-by-term stop.  Index _MAX_TERMS + 1
+    ends the sum unconverged in any case, with an infinite bound where it is
+    not tested.  A spectrum with a tail model that runs out is decided by the
+    bound at its final entry, whatever its index.
     Returns (total, terms_used, tail_bound, converged, tested).
     """
     if not 0.0 < tol < math.inf:
@@ -210,11 +236,12 @@ def _certified_sum(spectrum: Spectrum, block_terms, bound, tol: float,
     summer = PairwiseSummer()
     if seed is not None:
         summer.add(seed)
-    count, absum, last = 0, 0.0, None           # last: the last tested index
+    count, absum, tested, final = 0, 0.0, False, None
     for v, m in spectrum.blocks():
         n = np.arange(count, count + v.size)
-        x, aux, live, cut = block_terms(n, v, m)
-        x, live = x[:cut], live[:cut]
+        x, aux, holds, cut = block_terms(n, v, m)
+        x, holds = x[:cut], holds[:cut]
+        live = holds & (n[:x.size] >= 4)
         absum += float(np.abs(x).sum())
         done = 0
         cols = _Cols(n, v, m, x, aux)
@@ -222,25 +249,28 @@ def _certified_sum(spectrum: Spectrum, block_terms, bound, tol: float,
         if live.any():
             # the cumulative sums miss the exact running sums by less than slack
             slack = 4.0 * _EPS * (x.size + 64) * absum
-            scale = np.abs(base + summer.total() + np.cumsum(x)) + slack + 1.0
-            near |= live & (_tails(bound, cols, _NUMPY)[:x.size]
-                            < tol * (1.0 + _SCREEN) * scale)
+            est, tails = _tails(bound, cols, _NUMPY)
+            scale = np.abs(base + summer.total() + np.cumsum(x) + est) + slack + 1.0
+            near |= live & (tails < tol * (1.0 + _SCREEN) * scale)
         for k in np.flatnonzero(near).tolist():
             summer.extend(x[done:k + 1])
             done = k + 1
-            tail = float(_tails(bound, cols.at(k), _LIBM)[0]) if live[k] else math.inf
-            limit = tol * (abs(base + summer.total()) + 1.0)
+            est, tail = _tail_at(bound, cols.at(k)) if live[k] else (0.0, math.inf)
+            total = summer.total() + est
+            limit = tol * (abs(base + total) + 1.0)
             if tail < limit or n[k] > _MAX_TERMS:
-                return (summer.total(), k + count + 1, tail, tail < limit,
-                        bool(live[:k + 1].any()) or last is not None)
-        if live.any():
-            last = cols.at(int(np.flatnonzero(live)[-1]))
+                return (total, k + count + 1, tail, tail < limit,
+                        tested or bool(live[:k + 1].any()))
+        tested |= bool(live.any())
         summer.extend(x[done:])
         if cut is not None:
-            return summer.total(), count + cut + 1, 0.0, True, last is not None
+            return summer.total(), count + cut + 1, 0.0, True, tested
+        final = cols.at(x.size - 1) if holds[-1] else None
         count += v.size
-    tail = math.inf if last is None else float(_tails(bound, last, _LIBM)[0])
-    return summer.total(), count, tail, False, last is not None
+    est, tail = (0.0, math.inf) if final is None else _tail_at(bound, final)
+    total = summer.total() + est
+    converged = spectrum.meta.tail is not None and tail < tol * (abs(base + total) + 1.0)
+    return total, count, tail, converged, tested
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +315,55 @@ def _power_tail(tail, sigma: float):
     return None
 
 
+def _on_sphere(tail) -> bool:
+    """Exact data of a sphere's |D|: singular values n + shift."""
+    return isinstance(tail, SphereTail) and not tail.squared
+
+
+def _shifted(coeffs: tuple, delta: float) -> tuple:
+    """Coefficients in u of sum_j coeffs[j] (u - delta)^j."""
+    return tuple(sum(a * math.comb(j, k) * (-delta) ** (j - k)
+                     for j, a in enumerate(coeffs) if j >= k) for k in range(len(coeffs)))
+
+
+def _estimated(tail, shapes, counting):
+    """The tail model's bound(cols, xp) -> (estimate, bound) from the
+    array bound `counting` (None: no certificate).
+
+    On exact sphere data (`SphereTail`), `shapes` lists the summand as terms
+    (weight, shape, param, delta): weight M_n h(u_n + delta) with h of
+    `summation.em_tail`.  Their Euler--Maclaurin tails give the estimate and
+    bound wherever those are finite; elsewhere, and without shapes, the
+    estimate is 0 and the bound `counting`.
+    """
+    if counting is None:
+        return None
+    terms = []
+    if shapes and isinstance(tail, SphereTail):
+        try:
+            terms = [(w, em_tail(_shifted(tail.mults, delta), shape, param),
+                      1.0 + tail.shift + delta) for w, shape, param, delta in shapes]
+        except OverflowError:           # the tail's own coefficients overflow
+            pass
+    if not terms:
+        return lambda c, xp: (0.0, counting(c, xp))
+
+    def bound(c, xp):
+        est = err = 0.0
+        try:
+            for w, em, lead in terms:
+                e, b = em(c.n + lead, xp)                   # U = u_{n+1} + delta
+                est, err = est + w * e, err + abs(w) * b
+        except OverflowError:           # libm's refusal of what numpy takes to inf
+            est = err = np.full(c.n.size, math.inf)
+        ok = np.isfinite(est) & np.isfinite(err)
+        if ok.all():
+            return est, err
+        return np.where(ok, est, 0.0), np.where(ok, err, counting(c, xp))
+
+    return bound
+
+
 def _logsq_heat_tail(tail: LogSquareTail, t: float, n, term, xp) -> np.ndarray:
     X = n + tail.shift + 1.0
     lead = 2.0 * t * xp.log(X)
@@ -323,22 +402,25 @@ def heat_trace(spectrum: Spectrum, t: float, tol: float = 1e-12,
         raise ValueError(f"heat_trace: need 0 < t < inf, got t={t}")
     meta, tail = spectrum.meta, spectrum.meta.tail
     base = float(meta.kernel_dim) if include_kernel and meta.kernel_dim else 0.0
-    bound = {
-        PolynomialTail: lambda c, xp: _poly_heat_tail(tail, t, c.v, xp),
-        # mu_{m+1} - mu_m >= (ratio - 1) mu_n for every m >= n
-        ExponentialTail: lambda c, xp: _geometric(
-            c.x, (c.n + 2) / (c.n + 1) * xp.exp(-t * (tail.ratio - 1.0) * c.v)),
-        LogSquareTail: lambda c, xp: _logsq_heat_tail(tail, t, c.n, c.x, xp),
-    }.get(type(tail))
     window = None
-    if bound is None:           # uncertified: a geometric tail from recent term ratios
+    if isinstance(tail, PolynomialTail):
+        counting = lambda c, xp: _poly_heat_tail(tail, t, c.v, xp)
+    elif isinstance(tail, ExponentialTail):
+        # mu_{m+1} - mu_m >= (ratio - 1) mu_n for every m >= n
+        counting = lambda c, xp: _geometric(
+            c.x, (c.n + 2) / (c.n + 1) * xp.exp(-t * (tail.ratio - 1.0) * c.v))
+    elif isinstance(tail, LogSquareTail):
+        counting = lambda c, xp: _logsq_heat_tail(tail, t, c.n, c.x, xp)
+    else:           # uncertified: a geometric tail from recent term ratios
         window = _ratio_window()
-        bound = lambda c, xp: _geometric(c.x, c.aux, cap=0.95)
+        counting = lambda c, xp: _geometric(c.x, c.aux, cap=0.95)
+    # e^{-t u} on a sphere's |D|; on D^2 the summand is Gaussian in u
+    bound = _estimated(tail, [(1.0, "exp", t, 0.0)] if _on_sphere(tail) else None, counting)
 
     def block_terms(n, v, m):
         x = m * _libm(math.exp, np.maximum(-t * v, -745.0))
         x[t * v >= 745] = 0.0
-        return x, window(x) if window else None, n >= 4, None
+        return x, window(x) if window else None, np.ones(x.size, bool), None
 
     total, terms, tail_bound, converged, _ = _certified_sum(
         spectrum, block_terms, bound, tol, base=base)
@@ -370,9 +452,12 @@ def zeta_direct(spectrum: Spectrum, s: complex, tol: float = 1e-12,
 
     def block_terms(n, v, m):
         x = m * v ** (-sigma)
-        return x * np.exp(-1j * s.imag * np.log(v)) if s.imag else x, None, n >= 4, None
+        return (x * np.exp(-1j * s.imag * np.log(v)) if s.imag else x, None,
+                np.ones(x.size, bool), None)
 
-    bound = _power_tail(tail, sigma)
+    # u^{-s} on a sphere's |D|, u^{-2s} on D^2
+    power = 2.0 * s if isinstance(tail, SphereTail) and tail.squared else s
+    bound = _estimated(tail, [(1.0, "power", power, 0.0)], _power_tail(tail, sigma))
     total, terms, tail_bound, converged, tested = _certified_sum(
         spectrum, block_terms, bound, tol,
         seed=float(meta.kernel_dim) if include_kernel and meta.kernel_dim else None)
@@ -440,20 +525,36 @@ def spectral_action_direct(spectrum: Spectrum, f, lam: float,
             f"spectral_action_direct: cutoff decay p={p_f} <= p={meta.dimension_p}: "
             "series diverges")
     base = meta.kernel_dim * f.f0() if meta.kernel_dim else 0.0
+    shapes = _laplace_shapes(f, lam) if _on_sphere(tail) else None
 
     def block_terms(n, v, m):
         x = v / lam
         beyond = np.flatnonzero(x > edge) if edge is not None else ()
-        return (m * f.evaluate(x), x, (n >= 4) & (x >= x0_f),
+        return (m * f.evaluate(x), x, np.ones(x.size, bool) if shapes else x >= x0_f,
                 int(beyond[0]) if len(beyond) else None)
 
-    # f(x) <= C_f x^{-p_f} from x0_f on; an edge ends the sum
+    # f(x) <= C_f x^{-p_f} from x0_f on (x = aux); an edge ends the sum
     power = None if edge is not None else _power_tail(tail, p_f)
-    bound = None if power is None else lambda c, xp: C_f * lam ** p_f * power(c, xp)
+    bound = _estimated(tail, shapes, None if power is None else lambda c, xp: np.where(
+        c.aux >= x0_f, C_f * lam ** p_f * power(c, xp), math.inf))
     total, terms, tail_bound, converged, tested = _certified_sum(
         spectrum, block_terms, bound, tol, base=base)
     certified = isinstance(tail, (PolynomialTail, ExponentialTail)) or not tested
     return TruncationReport(base + total, terms, tail_bound, converged, certified)
+
+
+def _laplace_shapes(f, lam: float):
+    """f(mu/Lambda) as Euler--Maclaurin shapes (weight, shape, param, delta)
+    in mu, or None: a measure of atoms at a > 0 is sum_a w e^{-(a/Lambda) mu},
+    a lone unshifted gamma density w (1 + x/rate)^{-r} is
+    w (Lambda rate)^r (mu + Lambda rate)^{-r}."""
+    comps = getattr(f, "components", ())
+    if comps and all(isinstance(c, Atom) and c.location > 0 for c in comps):
+        return [(c.weight, "exp", c.location / lam, 0.0) for c in comps]
+    if len(comps) == 1 and isinstance(comps[0], GammaDensity) and not comps[0].shift:
+        g, delta = comps[0], lam * comps[0].rate
+        return [(g.weight * delta ** g.r, "power", g.r, delta)]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +687,9 @@ def mellin_check(spectrum: Spectrum, s: complex) -> float:
                      epsabs=1e-13, epsrel=1e-11)
         total += complex(lo + hi) * (1.0 if part == 0 else 1.0j)
 
-    if isinstance(meta.tail, PolynomialTail):
-        zval = zeta_richardson(spectrum, s, include_kernel=False)
-    else:
-        zval = zeta_direct(spectrum, s, tol=1e-13, include_kernel=False).value
-    rhs = gamma(s) * zval
+    rep = zeta_direct(spectrum, s, tol=1e-13, include_kernel=False)
+    if not rep.converged:
+        raise ArithmeticError(f"mellin_check: zeta_direct at s={s} did not converge "
+                              f"({rep.terms_used} terms, tail bound {rep.tail_bound:.3g})")
+    rhs = gamma(s) * rep.value
     return abs(total - rhs) / abs(rhs)

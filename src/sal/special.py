@@ -304,7 +304,9 @@ def upper_gamma(a: complex, x):
     Gamma(a) has its poles and the fraction is accurate from x = 0.3 on, so
     smaller x is refused), shift Re(a) into (-1, 0] so the Lentz continued
     fraction converges fast, then climb back up with
-    Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}.
+    Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}.  At a positive integer the
+    climb starts at a = 0, where Gamma(0, x) is multiplied by 0: the
+    fraction is skipped.
 
     An array x (real a > 0) gives a real array from scipy's regularized
     `gammaincc`; the summation engines screen whole blocks of tail bounds
@@ -332,6 +334,8 @@ def upper_gamma(a: complex, x):
         return gamma(a) - cmath.exp(-x + a * math.log(x)) * total
     shift = max(0, int(math.ceil(a.real)) )
     a0 = a - shift
+    if a0 == 0 and shift:   # a positive integer: Gamma(0, x) enters the climb times 0
+        return _climb(0j, a0, x, shift)
     # Lentz continued fraction for Gamma(a0, x), a0.real <= 1
     tiny = 1e-300
     b0 = x + 1.0 - a0
@@ -352,7 +356,11 @@ def upper_gamma(a: complex, x):
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    val = cmath.exp(-x + a0 * math.log(x)) * h
+    return _climb(cmath.exp(-x + a0 * math.log(x)) * h, a0, x, shift)
+
+
+def _climb(val: complex, a0: complex, x: float, shift: int) -> complex:
+    # Gamma(a0 + shift, x) from val = Gamma(a0, x) by Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}
     for m in range(shift):
         am = a0 + m
         val = am * val + cmath.exp(-x + am * math.log(x))

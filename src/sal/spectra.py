@@ -4,7 +4,8 @@ A `Spectrum` is a lazily generated, strictly increasing sequence of
 (singular value, multiplicity) pairs, delivered in numpy blocks whose sizes
 depend only on the index, together with metadata: the summability dimension
 p, the kernel dimension, and a tail model used by the summation engine to
-certify truncations.
+certify truncations (on the round spheres, their exact data: singular
+values n + c and a multiplicity polynomial, `SphereTail`).
 
 Catalog:
   * round spheres S^d (trivial/nontrivial spin for d = 1),
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import islice, repeat
 from typing import Callable, Iterator
 
@@ -35,6 +37,7 @@ __all__ = [
     "PodlesParams",
     "Spectrum",
     "PolynomialTail",
+    "SphereTail",
     "ExponentialTail",
     "LogSquareTail",
     "sphere_spectrum",
@@ -62,6 +65,16 @@ class PolynomialTail:
 
 
 @dataclass(frozen=True)
+class SphereTail(PolynomialTail):
+    """Exact data of a round sphere on top of its counting bound: the n-th
+    singular value is u_n = n + shift (squared if `squared`), with
+    multiplicity M_n = sum_j mults[j] u_n^j."""
+    shift: float
+    mults: tuple[float, ...]
+    squared: bool = False
+
+
+@dataclass(frozen=True)
 class ExponentialTail:
     """Geometric growth: mu_{m+1} >= ratio * mu_m for every m, and
     M_{m+1}/M_m <= (n+2)/(n+1) for every m >= n."""
@@ -79,7 +92,7 @@ class SpectrumMeta:
     dimension_p: float
     kernel_dim: int
     label: str
-    tail: object | None  # PolynomialTail | ExponentialTail | LogSquareTail
+    tail: object | None  # PolynomialTail (SphereTail) | ExponentialTail | LogSquareTail
 
 
 Block = tuple[np.ndarray, np.ndarray]   # (values float64, multiplicities)
@@ -99,6 +112,11 @@ def block_ranges(stop: int | None = None) -> Iterator[tuple[int, int]]:
         hi = lo + size if stop is None else min(lo + size, stop)
         yield lo, hi
         lo, size = hi, min(2 * size, _MAX_BLOCK)
+
+
+def _finite_prefix(values: np.ndarray) -> int:
+    """Length of an increasing block's finite part: the values end at inf."""
+    return int(np.isinf(values).argmax()) if np.isinf(values[-1]) else values.size
 
 
 def _sliced(values: np.ndarray, mults: np.ndarray) -> Callable[[], Iterator[Block]]:
@@ -147,8 +165,11 @@ class Spectrum:
         tail = meta.tail
         if isinstance(tail, PolynomialTail):
             # N_sq(L) = N(sqrt(L)) <= coeff (offset + sqrt(L))^power
-            tail = PolynomialTail(tail.coeff, tail.power / 2.0,
-                                  offset=(tail.offset + 1.0) ** 2)
+            counting = (tail.coeff, tail.power / 2.0, (tail.offset + 1.0) ** 2)
+            if isinstance(tail, SphereTail) and not tail.squared:
+                tail = SphereTail(*counting, tail.shift, tail.mults, squared=True)
+            else:
+                tail = PolynomialTail(*counting)
         elif isinstance(tail, ExponentialTail):
             # mu^2 grows by ratio^2; the product overflows to inf where ** raises
             tail = ExponentialTail(tail.ratio * tail.ratio)
@@ -157,8 +178,15 @@ class Spectrum:
         base_blocks = self._blocks
 
         def gen() -> Iterator[Block]:
+            # the squares end where they overflow, as the values end at inf
             for values, mults in base_blocks():
-                yield values * values, mults
+                with np.errstate(over="ignore"):
+                    sq = values * values
+                end = _finite_prefix(sq)
+                if end:
+                    yield sq[:end], mults[:end]
+                if end < sq.size:
+                    return
 
         return Spectrum(new_meta, gen)
 
@@ -199,7 +227,7 @@ def sphere_spectrum(d: int, spin: str = "nontrivial") -> Spectrum:
     if d == 1 and spin == "trivial":
         meta = SpectrumMeta(
             1.0, 1, "S^1 (trivial spin)",
-            tail=PolynomialTail(coeff=2.0, power=1.0, offset=1.0))
+            tail=SphereTail(coeff=2.0, power=1.0, offset=1.0, shift=1.0, mults=(2.0,)))
 
         def gen() -> Iterator[Block]:
             for lo, hi in block_ranges():
@@ -214,8 +242,14 @@ def sphere_spectrum(d: int, spin: str = "nontrivial") -> Spectrum:
     m = 2 ** (d // 2 + 1)
     # N(L): total count up to n = L - d/2 is m * C(n+d, d) <= (m/d!) (L + d)^d
     coeff = m * (1.0 + d) ** d / math.factorial(d)
+    # M = m C(n+d-1, d-1) = m/(d-1)! prod_{i<d} (u - d/2 + i) in u = n + d/2, exactly
+    poly = [Fraction(m, math.factorial(d - 1))]
+    for i in range(1, d):
+        root = Fraction(d, 2) - i
+        poly = [a - root * b for a, b in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
     meta = SpectrumMeta(float(d), 0, f"S^{d}",
-                        tail=PolynomialTail(coeff=coeff, power=float(d), offset=float(d)))
+                        tail=SphereTail(coeff=coeff, power=float(d), offset=float(d),
+                                        shift=d / 2.0, mults=tuple(map(float, poly))))
 
     def mults(n: np.ndarray) -> np.ndarray:
         # C(n+i, i) = C(n+i-1, i-1) (n+i) / i is exact in int64 while the
@@ -337,7 +371,7 @@ def podles_spectrum(params: PodlesParams, simplified: bool = False) -> Spectrum:
     def gen() -> Iterator[Block]:
         for lo, hi in block_ranges():
             values = block(lo, hi)
-            end = int(np.isinf(values).argmax()) if np.isinf(values[-1]) else hi - lo
+            end = _finite_prefix(values)
             if end:
                 yield values[:end], 4 * np.arange(lo + 1, lo + end + 1)
             if end < hi - lo:

@@ -156,6 +156,88 @@ def euler_maclaurin(g: Callable[[float], float], N: int, m: int,
     return est, bound
 
 
+# B_2k/(2k)!, k = 1..5: the Bernoulli terms of `em_tail`
+_EM_B = tuple(float(b) / math.factorial(2 * k) for k, b in enumerate(
+    (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66)),
+    start=1))
+
+
+def _falling(e, r: int):
+    """e (e - 1) ... (e - r + 1)."""
+    out = 1.0
+    for i in range(r):
+        out *= e - i
+    return out
+
+
+def _laurent(coef: dict, U: np.ndarray, xp):
+    """sum_k coef[k] U^k by Horner's rule, times the lowest power once."""
+    lo = min(coef)
+    acc = 0.0
+    for k in range(max(coef), lo - 1, -1):
+        acc = acc * U + coef.get(k, 0.0)
+    return acc * xp.power(U, float(lo)) if lo else acc
+
+
+def em_tail(coeffs, shape: str, param):
+    """Euler--Maclaurin tail sum_{k>=0} g(U + k) of g(u) = sum_j coeffs[j] u^j h(u),
+    h(u) = u^{-param} (shape "power", complex param) or e^{-param u} ("exp").
+
+    Returns tail(U, xp) -> (estimate, bound) over an array U, in closed form:
+
+        estimate = int_U^oo g + g(U)/2 - sum_{k=1}^{m} B_2k/(2k)! g^(2k-1)(U),
+        bound    = |B_2m|/(2m)! sum_j |coeffs[j]| int_U^oo |(u^j h)^(2m)|,
+
+    with m = 5.  The remainder is -int_U^oo B~_2m(u)/(2m)! g^(2m)(u) du (DLMF
+    2.10.1 carried one term further) and |B~_2m| <= |B_2m| (DLMF 24.9.1), so
+    the bound holds.  For the power shape u^j h(u) = u^{j-param} has falling-
+    factorial derivatives whose modulus keeps one sign; for the exponential
+    shape int_U^oo u^i e^{-tu} = t^{-i-1} Gamma(i+1, tU), and the 2m-th
+    derivative is bounded term by term of Leibniz's rule.  `xp` supplies
+    exp, log, power and upper_gamma over arrays.
+    """
+    m, top = len(_EM_B), abs(_EM_B[-1])
+    # (weight, order) of g(U)/2 and of the derivatives g^(2k-1)(U) in the estimate
+    orders = [(0.5, 0)] + [(-b, 2 * k - 1) for k, b in enumerate(_EM_B, start=1)]
+    est, err = {}, {}
+    if shape == "power":
+        s = complex(param)
+        sigma = s.real
+        s = s if s.imag else sigma
+        for j, a in enumerate(coeffs):
+            if a:
+                # (u^{j-s})^(r) = (j-s)_r u^{j-s-r}: Laurent coefficients in U of g / U^{-s}
+                est[j + 1] = est.get(j + 1, 0.0) + a / (s - j - 1)
+                for w, r in orders:
+                    est[j - r] = est.get(j - r, 0.0) + w * a * _falling(j - s, r)
+                err[j + 1 - 2 * m] = abs(a * _falling(j - s, 2 * m)) / (sigma + 2 * m - 1 - j)
+
+        def tail(U, xp):
+            mod = xp.power(U, -sigma)                               # |U^{-s}|
+            base = mod * np.exp(-1j * s.imag * xp.log(U)) if isinstance(s, complex) else mod
+            return base * _laurent(est, U, xp), top * mod * _laurent(err, U, xp)
+        return tail
+    t = float(param)
+    integral, gam = {}, {}          # coefficients of Gamma(j+1, tU) in the integral, the bound
+    for j, a in enumerate(coeffs):
+        if a:
+            integral[j] = a * t ** (-j - 1)
+            for i in range(j + 1):
+                # (u^j e^{-tu})^(r) = e^{-tu} sum_i C(r, i) (j)_i u^{j-i} (-t)^{r-i}
+                est[j - i] = est.get(j - i, 0.0) + a * _falling(j, i) * sum(
+                    w * math.comb(r, i) * (-t) ** (r - i) for w, r in orders if r >= i)
+                # int_U^oo u^{j-i} t^{2m-i} e^{-tu} du = t^{2m-j-1} Gamma(j-i+1, tU)
+                gam[j - i] = gam.get(j - i, 0.0) + abs(a) * math.comb(2 * m, i) \
+                    * _falling(j, i) * t ** (2 * m - j - 1)
+
+    def tail(U, xp):
+        y = t * U
+        g = {i: xp.upper_gamma(i + 1.0, y) for i in gam}
+        return (sum(c * g[j] for j, c in integral.items()) + xp.exp(-y) * _laurent(est, U, xp),
+                top * sum(c * g[i] for i, c in gam.items()))
+    return tail
+
+
 # ---------------------------------------------------------------------------
 # Closed-form actions
 # ---------------------------------------------------------------------------

@@ -161,7 +161,9 @@ def test_action_expansion_leading_term_s3():
     hexp = heat_expansion_from_poles(cz.poles(), default_scale(3.0), d=1)
     aexp = action_expansion(hexp, f, d=1, spectrum_p=3.0)
     lam = 50.0
-    direct = spectral_action_direct(sphere_spectrum(3), f, lam, tol=1e-12).value
+    rep = spectral_action_direct(sphere_spectrum(3), f, lam, tol=1e-12)
+    assert rep.converged
+    direct = rep.value
     approx = evaluate_expansion(aexp, lam, 4)
     assert abs(direct - approx) / direct < 1e-4
     # two-route moment identity: f_{3,0} = (1/Gamma(3)) int x^2 f dx

@@ -198,8 +198,42 @@ def test_non_finite_inputs_are_argument_errors(capsys, args):
     ["action", "--triple", "s3", "--cutoff", "window:1e-300,1", "--lambda-grid", "5:20:4"],
     ["compare", "--triple", "s3", "--cutoff", "gauss:1e-300", "--lambda-grid", "4:16:3"],
     ["heat", "--triple", "t3:100", "--t-grid", "0.5:1:2", "--lattice-cut", "1e300"],
+    ["heat", "--triple", "podless:1e-100,1", "--t-grid", "0.1:0.1:1"],
 ])
 def test_overflowing_parameters_are_argument_errors(capsys, args):
-    # each overflows (or divides by zero) while building the cut-off or the spectrum
+    # each overflows (or divides by zero) while building the cut-off or the
+    # spectrum, and the message names the parameter at fault with its value
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == "" and err.startswith("error:")
+    option = next(o for o in ("--lattice-cut", "--cutoff", "--triple") if o in args)
+    value = args[args.index(option) + 1]
+    if option == "--lattice-cut":
+        value = f"{float(value):g}"
+    assert f"error: {option[2:].replace('-', ' ')} {value} is out of range" in err
+
+
+@pytest.mark.parametrize("triple", ["podles:1e-200,1", "podlessq:1e-200,1"])
+def test_podles_values_past_the_float_range_converge(capsys, triple):
+    # mu_2 (mu_1^2 for the square) overflows: the spectrum ends there, and
+    # its tail model certifies that nothing is left
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["heat", "--triple", triple, "--t-grid", "0.1:0.1:1"], capsys)
+    assert code == 0 and err == ""
+    assert out.strip().splitlines()[1].endswith(",True")
+
+
+def test_s1_heat_at_the_bottom_of_the_float_range(capsys):
+    # Tr e^{-t|D|} = coth(t/2) = 2/t + O(t): the tail estimate carries it
+    code, out, err = run_cli(["heat", "--triple", "s1", "--t-grid", "1e-300:1e-300:1"], capsys)
+    assert code == 0
+    t, value, terms, tail_bound, converged = out.strip().splitlines()[1].split(",")
+    assert converged == "True" and int(terms) <= 1024
+    assert abs(float(value) - 2.0 / float(t)) <= float(tail_bound) + 1e-13 * 2.0 / float(t)
+
+
+def test_s1_heat_whose_value_overflows_is_refused(capsys):
+    # 2/t overflows at t = 1e-310: no value can be reported, let alone certified
+    code, out, err = run_cli(["heat", "--triple", "s1", "--t-grid", "1e-310:1e-310:1"], capsys)
+    assert code == 2 and out == "" and err.startswith("error: t 1e-310 is out of range")

@@ -1,4 +1,4 @@
-"""Engine reports pinned to those of the term-by-term summation loop.
+"""Engine reports pinned bit for bit.
 
 The table was recorded with the per-term engines the block kernel replaced
 (one scalar term, tail bound and stop test per singular value).  The kernel
@@ -7,6 +7,16 @@ for bit; zeta values may differ in the last place, since numpy's power is not
 libm's (and Python's complex power multiplies out integer exponents).  Every
 tail model is covered: polynomial (spheres, lattices, squared), exponential
 (Podles, squared Podles), log-square, and none (a JSON-lines spectrum).
+
+The sphere keys `s1`, `s1nt`, `s2`, `s3` and `s2sq` are the spheres with their
+counting bound alone (`counted`), as those engines summed them: they pin the
+counting-bound kernel on sums of up to 2,000,002 terms.  The catalog spheres
+declare exact data, and on the Euler--Maclaurin route (heat on |D|, zeta on
+|D| and D^2, `exp`, products of `exp` and `powerlaw` actions) their reports
+are the `.em` rows: each value is the head sum plus the tail estimate,
+`terms` counts the head, and `test_em_tails` checks every `.em` row against
+mpmath within its bound.  Off that route (gauss, window, sharp, D^2 heat, as
+in the `s3sq` row) the catalog spheres give the counted reports bit for bit.
 """
 
 import math
@@ -15,9 +25,18 @@ import pytest
 
 from sal.cutoffs import parse_cutoff
 from sal.series import counting, dixmier_estimate, heat_trace, spectral_action_direct, zeta_direct
-from sal.spectra import (PodlesParams, load_spectrum_jsonl, nctorus_spectrum, podles_spectrum,
+from sal.spectra import (PodlesParams, PolynomialTail, Spectrum, SpectrumMeta,
+                         load_spectrum_jsonl, nctorus_spectrum, podles_spectrum,
                          save_spectrum_jsonl, sphere_spectrum, torus_spectrum)
 from test_series import log_square_spectrum
+
+
+def counted(spectrum: Spectrum) -> Spectrum:
+    """The spectrum with its counting bound alone, without exact sphere data."""
+    meta, tail = spectrum.meta, spectrum.meta.tail
+    return Spectrum(SpectrumMeta(meta.dimension_p, meta.kernel_dim, meta.label,
+                                 PolynomialTail(tail.coeff, tail.power, tail.offset)),
+                    spectrum.blocks)
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +44,12 @@ def spectra(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden") / "s2.jsonl"
     save_spectrum_jsonl(str(path), sphere_spectrum(2), 300)
     pp = PodlesParams(0.5, 1.0)
+    exact = {"s1": sphere_spectrum(1, "trivial"), "s1nt": sphere_spectrum(1, "nontrivial"),
+             "s2": sphere_spectrum(2), "s3": sphere_spectrum(3)}
     return {
-        "s1": sphere_spectrum(1, "trivial"), "s1nt": sphere_spectrum(1, "nontrivial"),
-        "s2": sphere_spectrum(2), "s3": sphere_spectrum(3),
-        "s3sq": sphere_spectrum(3).squared(), "s2sq": sphere_spectrum(2).squared(),
+        **{k: counted(sp) for k, sp in exact.items()}, "s2sq": counted(exact["s2"]).squared(),
+        **{k + ".em": sp for k, sp in exact.items()}, "s2sq.em": exact["s2"].squared(),
+        "s3sq": sphere_spectrum(3).squared(),
         "nct2": nctorus_spectrum(2, radius_cut=80.0),
         "nct2sq": nctorus_spectrum(2, radius_cut=40.0).squared(),
         "t3": torus_spectrum(3, (1, 0, 0), radius_cut=120 / (2 * math.pi)),
@@ -61,6 +82,16 @@ HEAT = [   # spectrum, t, options, terms_used, value, tail_bound, converged, cer
     ('logsq', 1.5, {'tol': 1e-09}, 44, 0.7410341798256203, 1.5933750865905606e-09, True, True),
     ('jsonl', 0.5, {}, 62, 15.670792356117355, 1.379784862504854e-11, True, False),
     ('jsonl', 0.01, {}, 300, 32063.5747791169, math.inf, False, False),
+    ('s1.em', 0.1, {}, 5, 20.0166638895501, 2.291481431769859e-17, True, True),
+    ('s1.em', 0.5, {'tol': 1e-15}, 19, 4.082988165073596, 3.7023566442096745e-15, True, True),
+    ('s1.em', 2.0, {}, 8, 1.3130352854993612, 3.2558344812597147e-13, True, True),
+    ('s1.em', 0.001, {}, 5, 2000.0001666666635, 4.1503742954258833e-35, True, True),
+    ('s1.em', 80.0, {}, 5, 1.0, 1.9370980366605282e-199, True, True),
+    ('s1.em', 0.3, {'include_kernel': False}, 5, 5.716591827020166, 1.358483151983412e-13, True, True),
+    ('s1nt.em', 0.3, {}, 5, 6.641732136332666, 1.5783322441437785e-13, True, True),
+    ('s3.em', 0.13, {}, 5, 1816.8229887314449, 1.477779623204924e-12, True, True),
+    ('s3.em', 0.0015, {}, 5, 1185184851.8519058, 7.927692978323023e-26, True, True),
+    ('s2.em', 0.7, {}, 13, 7.8379425238371105, 5.552451320288565e-12, True, True),
 ]
 ZETA = [   # spectrum, s, options, terms_used, value, tail_bound, converged, certified
     ('s1', 3.35, {}, 107366, complex(3.2902478163489315, 0.0), 4.290165714224574e-12, True, True),
@@ -76,6 +107,13 @@ ZETA = [   # spectrum, s, options, terms_used, value, tail_bound, converged, cer
     ('podless', (2+5j), {}, 23, complex(0.37781125306916585, -1.4148270963282583), 1.0382283268400525e-12, True, True),
     ('podlessq', 2.0, {}, 11, complex(1.439999999999074, 0.0), 9.264784061886574e-13, True, True),
     ('jsonl', 4.0, {}, 300, complex(4.808205464366772, 0.0), math.inf, False, False),
+    ('s1.em', 3.35, {}, 8, complex(3.2902478163503224, 0.0), 2.286552872218171e-12, True, True),
+    ('s1.em', (3+2j), {}, 9, complex(2.946083920837893, -0.29539118600096276), 1.467005837519133e-12, True, True),
+    ('s1.em', 4.5, {'include_kernel': False}, 8, complex(2.1094150215229543, 0.0), 8.052090749775823e-13, True, True),
+    ('s3.em', 6.0, {}, 8, complex(0.4233905588240279, 0.0), 6.657079750037955e-13, True, True),
+    ('s3.em', 6.3, {}, 8, complex(0.3632240489724243, 0.0), 4.905508619752677e-13, True, True),
+    ('s2.em', 3.5, {}, 9, complex(5.365949029003751, 0.0), 2.3638109147473446e-12, True, True),
+    ('s2sq.em', 3.0, {'tol': 1e-14}, 11, complex(4.147711020573481, 0.0), 1.6875422594907364e-14, True, True),
 ]
 ACTION = [   # spectrum, cut-off, Lambda, terms_used, value, tail_bound, converged, certified
     ('s3', 'gauss', 5.0, 292, 108.56279836796286, 1.067312261866226e-10, True, True),
@@ -94,6 +132,10 @@ ACTION = [   # spectrum, cut-off, Lambda, terms_used, value, tail_bound, converg
     ('podless', 'nulltaylor', 10.0, 39, 31.647241987522133, 1.4275948164816008e-11, True, True),
     ('nct2', 'gauss', 20.0, 1811, 2513.2738341494364, 0.3565393271748477, False, True),
     ('jsonl', 'exp:1', 3.0, 300, 35.66851038502603, math.inf, False, False),
+    ('s3.em', 'exp:1', 150.0, 5, 13499925.000236114, 2.643267431732154e-21, True, True),
+    ('s3.em', 'product(exp:1,exp:1)', 500.0, 5, 62499875.00014169, 7.503334706150407e-23, True, True),
+    ('s3.em', 'powerlaw:1,1,5', 10.0, 9, 165.4339906018502, 1.2084148133169484e-10, True, True),
+    ('s1.em', 'powerlaw:1,1,3', 3.0, 8, 3.1610727706181585, 2.523524732653839e-12, True, True),
 ]
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sal.cutoffs import (Atom, CutoffFunction, IndicatorCutoff, exp_cutoff,
-                         gaussian_cutoff, null_taylor_cutoff)
+                         gaussian_cutoff, null_taylor_cutoff, window_cutoff)
 from sal.series import (DivergentSeriesError, PairwiseSummer, averaged_counting,
                         counting, dixmier_estimate, heat_trace, mellin_check,
                         partial_trace, spectral_action_direct, zeta_direct,
@@ -134,6 +134,14 @@ def test_zeta_full_podles_tail_within_bound(q, s, tol):
             term = 4 * (n + 1) * (mp.sinh((n + 1) * L) / mp.sinh(L)) ** (-s)
             true_tail, n = true_tail + term, n + 1
     assert true_tail <= rep.tail_bound
+
+
+def test_a_spectrum_that_ends_early_is_not_converged_by_its_end():
+    # mu_0 = 1, mu_1 = 1e200, and mu_2 overflows: the spectrum ends there, but
+    # 4(n+1) [n+1]^{-s} at s = 0.001 falls only by 10^{-0.2} a step, so the
+    # tail past mu_1 is of order 10 and the bound at the final entry says so
+    rep = zeta_direct(podles_spectrum(PodlesParams(1e-200, 1.0)), 0.001)
+    assert rep.terms_used == 2 and not rep.converged and rep.tail_bound > 10.0
 
 
 @pytest.mark.parametrize("q", [0.3, 0.9, 0.99])
@@ -342,6 +350,6 @@ def test_mellin_podles(s):
 
 def test_action_stops_at_term_cap_below_x0():
     # mu_n / Lambda stays far below the cut-off's x0 = 16, so no index is tested
-    rep = spectral_action_direct(sphere_spectrum(1, "trivial"), exp_cutoff(1.0), 1e25)
+    rep = spectral_action_direct(sphere_spectrum(1, "trivial"), window_cutoff(1.0, 2.0), 1e25)
     assert rep.terms_used == 2_000_002
     assert not rep.converged and rep.tail_bound == math.inf
