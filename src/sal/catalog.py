@@ -41,12 +41,12 @@ def default_scale(p: float, n_strips: int = 24) -> list[float]:
     return [r0 + k for k in range(n_strips)]
 
 
-def _lattice(build: Callable[[], Spectrum], lattice_cut: float) -> Spectrum:
-    # the cut is a torus spectrum's only numeric input: an overflow is its fault
+def in_range(name: str, value, build):
+    """build(), an ArithmeticError on the way reported as `name value` out of range."""
     try:
         return build()
     except ArithmeticError as exc:
-        raise ValueError(f"lattice cut {lattice_cut:g} is out of range ({exc})") from None
+        raise ValueError(f"{name} {value} is out of range ({exc})") from None
 
 
 def resolve_triple(triple_id: str, lattice_cut: float = 80.0) -> ResolvedTriple:
@@ -78,13 +78,13 @@ def resolve_triple(triple_id: str, lattice_cut: float = 80.0) -> ResolvedTriple:
         code = base[3:] if base != "t3" else "000"
         if len(code) != 3 or any(ch not in "01" for ch in code):
             raise ValueError(f"bad T^3 spin structure {code!r}")
-        spec = _lattice(lambda: torus_spectrum(3, tuple(int(ch) for ch in code),
-                                               radius_cut=lattice_cut / (2.0 * math.pi)),
-                        lattice_cut)
+        spec = in_range("lattice cut", f"{lattice_cut:g}", lambda: torus_spectrum(
+            3, tuple(int(ch) for ch in code), radius_cut=lattice_cut / (2.0 * math.pi)))
         zeta, action = None, t3_action
     elif base in ("nct2", "nct4"):
         d = int(base[3:])
-        spec = _lattice(lambda: nctorus_spectrum(d, radius_cut=lattice_cut), lattice_cut)
+        spec = in_range("lattice cut", f"{lattice_cut:g}",
+                        lambda: nctorus_spectrum(d, radius_cut=lattice_cut))
         zeta = catalog_zeta(base)
     elif base.startswith("podles:") or base.startswith("podless:"):
         simplified = base.startswith("podless:")

@@ -15,7 +15,7 @@ import math
 import sys
 
 from . import asymptotics, finite, series
-from .catalog import default_scale, resolve_triple
+from .catalog import default_scale, in_range, resolve_triple
 from .cutoffs import parse_cutoff
 
 __all__ = ["main"]
@@ -51,28 +51,20 @@ def _grid(text: str) -> list[float]:
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
-def _in_range(name: str, value, build):
-    """build(), an ArithmeticError on the way reported as `name value` out of range."""
-    try:
-        return build()
-    except ArithmeticError as exc:
-        raise ValueError(f"{name} {value} is out of range ({exc})") from None
-
-
 def _triple(args):
-    return _in_range("triple", args.triple,
-                     lambda: resolve_triple(args.triple, lattice_cut=args.lattice_cut))
+    return in_range("triple", args.triple,
+                    lambda: resolve_triple(args.triple, lattice_cut=args.lattice_cut))
 
 
 def _cutoff(args):
-    return _in_range("cutoff", args.cutoff, lambda: parse_cutoff(args.cutoff))
+    return in_range("cutoff", args.cutoff, lambda: parse_cutoff(args.cutoff))
 
 
 def _sweep(key: str, grid: str, engine, fmt: str) -> int:
     """One row per grid point x of the report engine(x); exit 3 unless all converged."""
     rows = []
     for x in _grid(grid):
-        rep = _in_range(key, repr(x), lambda: engine(x))
+        rep = in_range(key, repr(x), lambda: engine(x))
         rows.append({key: x, "value": float(rep.value),
                      "terms": rep.terms_used, "tail_bound": rep.tail_bound,
                      "converged": rep.converged})

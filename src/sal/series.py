@@ -553,7 +553,10 @@ def _laplace_shapes(f, lam: float):
         return [(c.weight, "exp", c.location / lam, 0.0) for c in comps]
     if len(comps) == 1 and isinstance(comps[0], GammaDensity) and not comps[0].shift:
         g, delta = comps[0], lam * comps[0].rate
-        return [(g.weight * delta ** g.r, "power", g.r, delta)]
+        try:
+            return [(g.weight * delta ** g.r, "power", g.r, delta)]
+        except OverflowError:           # (Lambda rate)^r past floats: the counting bound
+            return None
     return None
 
 

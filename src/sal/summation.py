@@ -157,9 +157,7 @@ def euler_maclaurin(g: Callable[[float], float], N: int, m: int,
 
 
 # B_2k/(2k)!, k = 1..5: the Bernoulli terms of `em_tail`
-_EM_B = tuple(float(b) / math.factorial(2 * k) for k, b in enumerate(
-    (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66)),
-    start=1))
+_EM_B = tuple(float(bernoulli_number(2 * k)) / math.factorial(2 * k) for k in range(1, 6))
 
 
 def _falling(e, r: int):
