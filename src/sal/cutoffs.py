@@ -413,7 +413,9 @@ def null_taylor_cutoff() -> CutoffFunction:
 
     Tabulated in the substituted variable s = y^4 (integrand e^{-y} sin(y) 4y^3)
     so that the oscillatory cancellations are resolved by the quadrature.
-    f(x) = O(x^{-5/4}); the certificate constant is fitted on a grid.
+    f(x) = O(x^{-5/4}).  The tabulated f = sum_i w_i e^{-s_i x} obeys
+    x^p |f(x)| <= C = sum_i |w_i| (p/(e s_i))^p for every x > 0, since each
+    x^p e^{-s_i x} peaks at x = p/s_i.
     """
     # 12-point Gauss-Legendre on each unit cell of y in [0, 140]
     xg, wg = np.polynomial.legendre.leggauss(12)
@@ -425,12 +427,10 @@ def null_taylor_cutoff() -> CutoffFunction:
         dens = np.exp(-y) * np.sin(y) * 4.0 * y ** 3
         nodes.extend(s.tolist())
         weights.extend((w * dens).tolist())
-    comp = QuadDensity(tuple(nodes), tuple(weights))
-    cut = CutoffFunction((comp,), 1.25, 1.0, 1.0, label="nulltaylor")
-    xs = np.logspace(0, 6, 400)
-    C = 1.2 * float(np.max(xs ** 1.25 * np.abs(cut.evaluate(xs))))
-    cut.decay_C = C
-    return cut
+    p = 1.25
+    C = math.fsum(abs(w) * (p / (math.e * s)) ** p for s, w in zip(nodes, weights))
+    return CutoffFunction((QuadDensity(tuple(nodes), tuple(weights)),), p, C, 1.0,
+                          label="nulltaylor")
 
 
 def gaussian_cutoff(width: float = 1.0) -> SchwartzCutoff:

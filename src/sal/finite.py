@@ -314,16 +314,8 @@ def h_polynomial(n: int, ell: tuple) -> HPolynomial:
 # ---------------------------------------------------------------------------
 
 def _binom_minus_alpha(n: int) -> list[Fraction]:
-    """binom(-a, n) as a polynomial in a (ascending coefficients)."""
-    poly = [Fraction(1)]
-    for i in range(n):
-        # multiply by (-a - i) / (i + 1)
-        new = [Fraction(0)] * (len(poly) + 1)
-        for j, c in enumerate(poly):
-            new[j] -= c * i
-            new[j + 1] -= c
-        poly = [c / (i + 1) for c in new]
-    return poly
+    """binom(-a, n) = (-a)(-a-1)...(-a-n+1)/n! as a polynomial in a (ascending)."""
+    return [(-1) ** j * c / math.factorial(n) for j, c in enumerate(_stirling_first_signed(n))]
 
 
 def perturbation_polynomials(n: int) -> dict[tuple, list[Fraction]]:

@@ -39,8 +39,7 @@ from scipy.integrate import quad
 
 from .cutoffs import Atom, GammaDensity
 from .special import gamma, riemann_zeta, upper_gamma
-from .spectra import (ExponentialTail, LogSquareTail, PolynomialTail, SphereTail, Spectrum,
-                      block_ranges)
+from .spectra import ExponentialTail, LogSquareTail, PolynomialTail, SphereTail, Spectrum
 from .summation import em_tail
 
 log = logging.getLogger(__name__)
@@ -51,7 +50,6 @@ __all__ = [
     "PairwiseSummer",
     "heat_trace",
     "zeta_direct",
-    "zeta_richardson",
     "spectral_action_direct",
     "counting",
     "averaged_counting",
@@ -465,38 +463,6 @@ def zeta_direct(spectrum: Spectrum, s: complex, tol: float = 1e-12,
     return TruncationReport(complex(total), terms, tail_bound, converged, certified)
 
 
-def zeta_richardson(spectrum: Spectrum, s: complex, n_terms: int = 400_000,
-                    include_kernel: bool = True) -> complex:
-    """Tail-extrapolated zeta for polynomial-growth spectra.
-
-    The tail past the cut mu obeys T(mu) = c1 mu^{p-sigma} + c2 mu^{p-sigma-1}
-    + O(mu^{p-sigma-2}); partial sums at cuts mu, mu/2, mu/4 determine
-    (S_infty, c1, c2) exactly through that order.
-    """
-    s = complex(s)
-    meta = spectrum.meta
-    if not isinstance(meta.tail, PolynomialTail):
-        return zeta_direct(spectrum, s, include_kernel=include_kernel).value
-    if s.real <= meta.dimension_p:
-        raise DivergentSeriesError("zeta_richardson: Re(s) <= p")
-    blocks = [block for _, block in zip(block_ranges(n_terms), spectrum.blocks())]
-    values, mults = (np.concatenate(part)[:n_terms] for part in zip(*blocks))
-    mu_f = values[-1]
-    cuts = [mu_f / 4.0, mu_f / 2.0, mu_f]
-    # running sums, the kernel first; partials stop before the first value past a cut
-    acc = np.cumsum(np.concatenate((
-        [complex(meta.kernel_dim if include_kernel else 0.0)],
-        mults * values.astype(complex) ** (-s))))
-    partials = [acc[np.searchsorted(values, c, side="right")] for c in cuts[:2]] + [acc[-1]]
-    beta = s - meta.dimension_p
-    # S_inf = S(mu_k) + c1 mu_k^{-beta} + c2 mu_k^{-beta-1}, k = 0,1,2
-    mus = np.array(cuts, dtype=complex)
-    A = np.vstack([np.ones(3, dtype=complex), mus ** (-beta),
-                   mus ** (-beta - 1.0)]).T
-    sol = np.linalg.solve(A, np.array(partials, dtype=complex))
-    return complex(sol[0])
-
-
 # ---------------------------------------------------------------------------
 # Spectral action
 # ---------------------------------------------------------------------------
@@ -584,10 +550,7 @@ def averaged_counting(coeffs: Iterable[float], lam: float, kernel_dim: int = 0) 
     acc = kernel_dim * 1.0
     for j, c in enumerate(coeffs):
         acc += c * lam ** (j + 1) / (j + 1)
-        if j == 0:
-            acc += c * (-0.5)  # zeta(0)
-        else:
-            acc += c * riemann_zeta(complex(-j, 0.0)).real
+        acc += c * riemann_zeta(complex(-j, 0.0)).real
     return acc
 
 

@@ -52,7 +52,6 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "bernoulli_poly_coeffs",
-    "periodic_bernoulli",
     "q_number",
     "upper_gamma",
 ]
@@ -469,24 +468,19 @@ def jacobi_theta3(z: complex, q: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 _BERNOULLI_CAP = 130
-
-
-@lru_cache(maxsize=1)
-def _bernoulli_table() -> tuple[Fraction, ...]:
-    B = [Fraction(1)]
-    for k in range(1, _BERNOULLI_CAP + 1):
-        acc = Fraction(0)
-        for j in range(k):
-            acc += Fraction(math.comb(k + 1, j)) * B[j]
-        B.append(-acc / (k + 1))
-    return tuple(B)
+_BERNOULLI = [Fraction(1)]      # B_0, B_1, ...: grown on demand
 
 
 def bernoulli_number(k: int) -> Fraction:
     """Exact B_k with B_1 = -1/2 (so B_2 = 1/6, B_4 = -1/30, B_6 = 1/42)."""
     if k < 0 or k > _BERNOULLI_CAP:
         raise ValueError(f"bernoulli_number: 0 <= k <= {_BERNOULLI_CAP}")
-    return _bernoulli_table()[k]
+    B = _BERNOULLI
+    for n in range(len(B), k + 1):
+        # sum_{j<=n} C(n+1, j) B_j = 0
+        B.append(-sum((Fraction(math.comb(n + 1, j)) * B[j] for j in range(n)),
+                      Fraction(0)) / (n + 1))
+    return B[k]
 
 
 @lru_cache(maxsize=64)
@@ -502,11 +496,6 @@ def bernoulli_poly(k: int, x: float) -> float:
     for c in reversed(coeffs):
         acc = acc * x + float(c)
     return acc
-
-
-def periodic_bernoulli(k: int, x: float) -> float:
-    """B_k(x - floor(x)), used in the Euler--Maclaurin remainder."""
-    return bernoulli_poly(k, x - math.floor(x))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ The Poisson comparison S(g_t) - I(g_t) quantifies how far a lattice sum is
 from its integral; for Schwartz g the discrepancy is O(t^inf), while for
 g(x) = e^{-t|x|} it carries the Bernoulli series t/6 - ...
 
+Both Euler--Maclaurin routines (`euler_maclaurin` over [0, N], `em_tail`
+over [U, oo)) bound the remainder after the B_m term by |B_m|/m! times the
+integral of |g^(m)|: |B~_m(x)| <= |B_m| for even m (DLMF 24.9.1).
+
 The closed-form actions:
 
   S^3:  L^3 int_R x^2 f - (L/4) int_R f                     (even f),
@@ -26,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .special import bernoulli_number, lattice_sq_counts, periodic_bernoulli, riemann_zeta
+from .special import _em_coeffs, bernoulli_number, lattice_sq_counts
 
 __all__ = [
     "RadialSummand",
@@ -127,10 +131,10 @@ def euler_maclaurin(g: Callable[[float], float], N: int, m: int,
 
     estimate = int_0^N g + (g(0)+g(N))/2
                + sum_{j=2}^m B_j/j! (g^{(j-1)}(N) - g^{(j-1)}(0))
-    with the remainder bound |R_m| <= (2 zeta(m)/(2 pi)^m) int_0^N |g^(m)|
-    (valid for m >= 7; returned for any even m >= 2 using the defining
-    integral of the periodic Bernoulli remainder otherwise).  `derivs(j)` is
-    the exact j-th derivative of g, which the remainder bound needs.
+    with the remainder bound |R_m| <= |B_m|/m! int_0^N |g^(m)|, since the
+    periodic Bernoulli function obeys |B~_m| <= |B_m| for even m (DLMF
+    24.9.1).  `derivs(j)` is the exact j-th derivative of g, which the
+    remainder bound needs.
     """
     if m < 2 or m % 2 != 0:
         raise ValueError("euler_maclaurin: m must be even and >= 2")
@@ -148,16 +152,7 @@ def euler_maclaurin(g: Callable[[float], float], N: int, m: int,
     dm = derivs(m)
     absint, _ = quad(lambda x: abs(dm(x)), 0.0, N, limit=400,
                      epsabs=1e-12, epsrel=1e-9)
-    if m >= 7:
-        bound = 2.0 * riemann_zeta(complex(m)).real / (2.0 * math.pi) ** m * absint
-    else:
-        bmax = max(abs(periodic_bernoulli(m, x)) for x in np.linspace(0, 1, 101))
-        bound = bmax / math.factorial(m) * absint
-    return est, bound
-
-
-# B_2k/(2k)!, k = 1..5: the Bernoulli terms of `em_tail`
-_EM_B = tuple(float(bernoulli_number(2 * k)) / math.factorial(2 * k) for k in range(1, 6))
+    return est, abs(float(bernoulli_number(m))) / math.factorial(m) * absint
 
 
 def _falling(e, r: int):
@@ -194,9 +189,10 @@ def em_tail(coeffs, shape: str, param):
     derivative is bounded term by term of Leibniz's rule.  `xp` supplies
     exp, log, power and upper_gamma over arrays.
     """
-    m, top = len(_EM_B), abs(_EM_B[-1])
+    em_b = _em_coeffs()[:5]                    # B_2k/(2k)!, k = 1..m
+    m, top = len(em_b), abs(em_b[-1])
     # (weight, order) of g(U)/2 and of the derivatives g^(2k-1)(U) in the estimate
-    orders = [(0.5, 0)] + [(-b, 2 * k - 1) for k, b in enumerate(_EM_B, start=1)]
+    orders = [(0.5, 0)] + [(-b, 2 * k - 1) for k, b in enumerate(em_b, start=1)]
     est, err = {}, {}
     if shape == "power":
         s = complex(param)

@@ -129,7 +129,7 @@ ACTION = [   # spectrum, cut-off, Lambda, terms_used, value, tail_bound, converg
     ('s1', 'powerlaw:1,1,3', 3.0, 2000002, 3.1610727706113417, 2.0249969625030375e-11, False, True),
     ('podless', 'exp:1', 10.0, 8, 24.88536657202477, 2.2011961133708257e-11, True, True),
     ('podless', 'gauss', 100.0, 11, 94.15110676219163, 3.262831439922861e-14, True, True),
-    ('podless', 'nulltaylor', 10.0, 39, 31.647241987522133, 1.4275948164816008e-11, True, True),
+    ('podless', 'nulltaylor', 10.0, 40, 31.647241987522133, 2.646724132775004e-11, True, True),
     ('nct2', 'gauss', 20.0, 1811, 2513.2738341494364, 0.3565393271748477, False, True),
     ('jsonl', 'exp:1', 3.0, 300, 35.66851038502603, math.inf, False, False),
     ('s3.em', 'exp:1', 150.0, 5, 13499925.000236114, 2.643267431732154e-21, True, True),

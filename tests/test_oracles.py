@@ -36,19 +36,34 @@ def test_s1_laurent():
     ("s1", 3.0, lambda: sphere_spectrum(1, "trivial")),
     ("s2", 3.5, lambda: sphere_spectrum(2)),
     ("s3", 4.0, lambda: sphere_spectrum(3)),
-    ("nct2", 4.0, lambda: nctorus_spectrum(2, radius_cut=1000.0)),
+    ("nct2", 10.0, lambda: nctorus_spectrum(2, radius_cut=80.0)),
 ])
 def test_catalog_zeta_matches_direct(tid, s, spec_fn):
-    from sal.series import zeta_richardson
-    cz = catalog_zeta(tid)
-    ref = cz.value(complex(s))
-    if tid == "nct2":       # no Euler--Maclaurin tail on lattices yet: extrapolate
-        val = zeta_richardson(spec_fn(), complex(s), n_terms=500_000)
-    else:
-        rep = zeta_direct(spec_fn(), complex(s))
-        assert rep.converged and rep.certified
-        val = rep.value
-    assert abs(val - ref) / abs(ref) < 1e-10
+    ref = catalog_zeta(tid).value(complex(s))
+    rep = zeta_direct(spec_fn(), complex(s))
+    assert rep.converged and rep.certified
+    assert abs(rep.value - ref) / abs(ref) < 1e-10
+
+
+def _epstein_closed_form(d, s):
+    """sum over Z^d minus 0 of |k|^{-s}: 4 zeta(w) beta(w) for d = 2 and
+    8 (1 - 4^{1-w}) zeta(w) zeta(w-1) for d = 4 (Jacobi), w = s/2."""
+    import mpmath as mp
+    w = mp.mpc(s) / 2
+    if d == 2:
+        return 4 * mp.zeta(w) * mp.dirichlet(w, [0, 1, 0, -1])
+    return 8 * (1 - mp.power(4, 1 - w)) * mp.zeta(w) * mp.zeta(w - 1)
+
+
+@pytest.mark.parametrize("tid,s", [
+    ("nct2", 3), ("nct2", 4), ("nct2", 2.5 + 1j),
+    ("nct4", 5), ("nct4", 6), ("nct4", 4.5 + 2j),
+])
+def test_lattice_zeta_matches_closed_forms(tid, s):
+    # 2^{d/2} spinor components on each lattice point and on the kernel
+    d = int(tid[3:])
+    ref = complex(2 ** (d // 2) * (_epstein_closed_form(d, s) + 1))
+    assert abs(catalog_zeta(tid).value(complex(s)) - ref) < 1e-14 * abs(ref)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])

@@ -10,8 +10,7 @@ from sal.cutoffs import (Atom, CutoffFunction, IndicatorCutoff, exp_cutoff,
                          gaussian_cutoff, null_taylor_cutoff, window_cutoff)
 from sal.series import (DivergentSeriesError, PairwiseSummer, averaged_counting,
                         counting, dixmier_estimate, heat_trace, mellin_check,
-                        partial_trace, spectral_action_direct, zeta_direct,
-                        zeta_richardson)
+                        partial_trace, spectral_action_direct, zeta_direct)
 from sal.special import riemann_zeta
 from sal.spectra import (LogSquareTail, PodlesParams, Spectrum, SpectrumMeta,
                          block_ranges, nctorus_spectrum, podles_spectrum,
@@ -172,12 +171,6 @@ def test_podles_certificates_vs_mpmath(engine, param, simplified, squared, q):
             term = 4 * (n + 1) * g(mu * mu if squared else mu)
             total, n = total + term, n + 1
     assert abs(rep.value - total) <= rep.tail_bound + 1e-13 * (abs(total) + 1)
-
-
-def test_zeta_richardson_accuracy():
-    s1 = sphere_spectrum(1, "trivial")
-    val = zeta_richardson(s1, 2.0, include_kernel=False)
-    assert abs(val.real - 2.0 * riemann_zeta(2.0).real) < 1e-10
 
 
 # ---------------------------------------------------------------------------

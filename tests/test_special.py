@@ -1,6 +1,8 @@
 import cmath
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -181,6 +183,18 @@ def test_bernoulli_numbers():
     assert bernoulli_number(1) == Fraction(-1, 2)
     for j in range(1, 8):
         assert bernoulli_number(2 * j + 1) == 0
+    assert bernoulli_number(130) == Fraction(*(int(x) for x in mp.bernfrac(130)))
+    with pytest.raises(ValueError):
+        bernoulli_number(131)
+
+
+def test_importing_the_cli_computes_no_bernoulli_numbers():
+    # the table grows on demand: importing the package must not build it
+    code = "import sal.cli, sal.special\nprint(len(sal.special._BERNOULLI))\n"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) <= 11        # B_0..B_10 at most
 
 
 def test_bernoulli_polynomials():
