@@ -150,7 +150,7 @@ def action_expansion(heat_exp: AsymptoticExpansion, f, d: int = 2,
     psi_k(L) = sum_{z in X_k} L^z sum_n (-1)^n log^n L
                sum_{m>=n} C(m, m-n) a_{z,m} f_{z,m-n}.
     """
-    if getattr(f, "is_schwartz_only", lambda: True)():
+    if not hasattr(f, "f_moment"):     # Schwartz-only, sharp, or a bare callable
         raise TypeError("action_expansion: cutoff has no Laplace measure")
     p_spec = spectrum_p if spectrum_p is not None else heat_exp.max_re_z()
     p_f = f.decay_certificate[0]

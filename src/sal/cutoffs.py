@@ -4,7 +4,9 @@ A cut-off f = L[phi] is represented by its measure phi, decomposed into
 atoms, gamma-type densities, window (indicator) densities and quadrature
 densities (nodes + weights, used for tabulated measures and convolutions).
 The class membership data is carried explicitly as the decay certificate
-(p, C, x0):  f(x) <= C x^{-p} for x >= x0.
+(p, C, x0):  f(x) <= C x^{-p} for x >= x0.  A cut-off may also report an
+envelope that holds for every x >= 0, f(x) <= C e^{-ax} or C e^{-(x/w)^2},
+and its x-moments int_0^oo x^k f(x) dx exactly.
 
 Pointwise evaluation of products multiplies the factors' closed forms
 (L[phi * chi] = L[phi] L[chi]), so direct summation stays cheap even when
@@ -19,12 +21,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .special import digamma, log_gamma, trigamma
 
 __all__ = [
+    "Envelope",
     "Atom",
     "GammaDensity",
     "WindowDensity",
@@ -47,6 +51,13 @@ __all__ = [
 # Measure components
 # ---------------------------------------------------------------------------
 
+class Envelope(NamedTuple):
+    """f(x) <= C e^{-a x} (kind "exp") or C e^{-(x/a)^2} (kind "gauss") for every x >= 0."""
+    kind: str
+    C: float
+    a: float
+
+
 @dataclass(frozen=True)
 class Atom:
     location: float
@@ -54,6 +65,10 @@ class Atom:
 
     def evaluate(self, x):
         return self.weight * np.exp(-self.location * x)
+
+    def exp_bound(self) -> tuple[float, float]:
+        """(C, a): |L[component](x)| <= C e^{-ax} for every x >= 0."""
+        return abs(self.weight), self.location
 
     def moment(self, m: float, absolute: bool = False) -> float:
         w = abs(self.weight) if absolute else self.weight
@@ -87,6 +102,9 @@ class GammaDensity:
         if self.shift:
             base = base * np.exp(-self.shift * np.asarray(x, dtype=float))
         return base
+
+    def exp_bound(self) -> tuple[float, float]:
+        return abs(self.weight), self.shift    # (1 + x/rate)^{-r} <= 1
 
     def moment(self, m: float, absolute: bool = False) -> float:
         w = abs(self.weight) if absolute else self.weight
@@ -157,6 +175,9 @@ class WindowDensity:
         lin = self.weight * ((self.b - self.a) - (self.b ** 2 - self.a ** 2) / 2.0 * x)
         return np.where(small, lin, out)
 
+    def exp_bound(self) -> tuple[float, float]:
+        return (self.b - self.a) * abs(self.weight), self.a   # (1 - e^{-(b-a)x})/x <= b - a
+
     def moment(self, m: float, absolute: bool = False) -> float:
         w = abs(self.weight) if absolute else self.weight
         if m == -1.0:
@@ -197,6 +218,9 @@ class QuadDensity:
 
     def _arr(self):
         return np.asarray(self.nodes, dtype=float), np.asarray(self.weights, dtype=float)
+
+    def exp_bound(self) -> None:
+        return None     # tabulated measures keep the power certificate
 
     def evaluate(self, x):
         s, w = self._arr()
@@ -299,9 +323,33 @@ class CutoffFunction:
                 f"f_moment: Re(z)={zc.real} outside certificate p={self.decay_p}")
         return complex(sum(c.f_moment(zc, n) for c in self.components))
 
+    def x_moment(self, k: float) -> float:
+        """int_0^oo x^k f(x) dx = Gamma(k+1) f_{k+1,0}."""
+        return math.gamma(k + 1.0) * self.f_moment(k + 1.0, 0).real
+
     @property
     def decay_certificate(self) -> tuple[float, float, float]:
         return (self.decay_p, self.decay_C, self.decay_x0)
+
+    def exp_bound(self) -> tuple[float, float] | None:
+        """(C, a >= 0) with f(x) <= C e^{-ax} for every x >= 0, or None: a
+        product multiplies its factors' C and adds their rates, a sum of
+        components adds their C and takes the smallest rate."""
+        if self.factors:
+            parts = [fac.exp_bound() for fac in self.factors]
+            if None in parts:
+                return None
+            return math.prod(C for C, _ in parts), sum(a for _, a in parts)
+        parts = [c.exp_bound() for c in self.components]
+        if None in parts:
+            return None
+        return sum(C for C, _ in parts), min(a for _, a in parts)
+
+    @property
+    def envelope(self) -> Envelope | None:
+        """f(x) <= C e^{-ax} for every x >= 0 with a > 0, or None."""
+        bound = self.exp_bound()
+        return Envelope("exp", *bound) if bound is not None and bound[1] > 0 else None
 
     def nonnegativity_minimum(self, n_grid: int = 1000) -> float:
         xs = np.logspace(-4, 4, n_grid)
@@ -317,7 +365,9 @@ class SchwartzCutoff:
 
     Usable for direct summation and Poisson / Euler--Maclaurin paths; the
     residue-expansion machinery rejects it.  `sqrt_derivs` optionally supplies
-    the derivatives at 0 of u -> f(sqrt(u)) for the S^4 pipeline.
+    the derivatives at 0 of u -> f(sqrt(u)) for the S^4 pipeline,
+    `x_moments(k)` the moments int_0^oo x^k f(x) dx for the closed-form
+    actions, and `envelope` a bound on f at every x >= 0 for the tails.
     """
     fn: object
     decay_p: float
@@ -325,6 +375,8 @@ class SchwartzCutoff:
     decay_x0: float
     label: str = "schwartz"
     sqrt_derivs: tuple = ()
+    x_moments: Callable[[float], float] | None = None
+    envelope: Envelope | None = None
 
     def evaluate(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -334,6 +386,11 @@ class SchwartzCutoff:
 
     def f0(self) -> float:
         return float(self.fn(np.asarray(0.0)))
+
+    def x_moment(self, k: float) -> float:
+        if self.x_moments is None:
+            raise TypeError(f"{self.label}: cut-off has no moment data")
+        return self.x_moments(k)
 
     @property
     def decay_certificate(self):
@@ -361,6 +418,9 @@ class IndicatorCutoff:
 
     def f0(self) -> float:
         return 1.0
+
+    def x_moment(self, k: float) -> float:
+        return self.edge ** (k + 1.0) / (k + 1.0)
 
     @property
     def decay_certificate(self):
@@ -443,9 +503,14 @@ def gaussian_cutoff(width: float = 1.0) -> SchwartzCutoff:
     C = xstar ** p * math.exp(-(xstar / width) ** 2) * 1.01
     # derivatives at 0 of u -> exp(-u/width^2): (-1/width^2)^m
     derivs = tuple((-1.0 / width ** 2) ** m for m in range(1, 13))
+
+    def moments(k: float) -> float:
+        # int_0^oo x^k e^{-(x/width)^2} dx
+        return math.gamma((k + 1.0) / 2.0) * width ** (k + 1.0) / 2.0
+
     return SchwartzCutoff(lambda x, _w=width: np.exp(-(np.asarray(x) / _w) ** 2),
-                          p, C, xstar, label=f"gauss:{width:g}",
-                          sqrt_derivs=derivs)
+                          p, C, xstar, label=f"gauss:{width:g}", sqrt_derivs=derivs,
+                          x_moments=moments, envelope=Envelope("gauss", 1.0, width))
 
 
 # ---------------------------------------------------------------------------

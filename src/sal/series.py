@@ -35,7 +35,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import quad
 
 from .cutoffs import Atom, GammaDensity
 from .special import gamma, riemann_zeta, upper_gamma
@@ -492,21 +491,57 @@ def spectral_action_direct(spectrum: Spectrum, f, lam: float,
             "series diverges")
     base = meta.kernel_dim * f.f0() if meta.kernel_dim else 0.0
     shapes = _laplace_shapes(f, lam) if _on_sphere(tail) else None
+    envelope = None if edge is not None else _envelope_tail(tail, getattr(f, "envelope", None),
+                                                            lam)
 
     def block_terms(n, v, m):
         x = v / lam
         beyond = np.flatnonzero(x > edge) if edge is not None else ()
-        return (m * f.evaluate(x), x, np.ones(x.size, bool) if shapes else x >= x0_f,
+        return (m * f.evaluate(x), x,
+                np.ones(x.size, bool) if shapes or envelope else x >= x0_f,
                 int(beyond[0]) if len(beyond) else None)
 
-    # f(x) <= C_f x^{-p_f} from x0_f on (x = aux); an edge ends the sum
+    # f(x) <= C_f x^{-p_f} from x0_f on (x = aux), and the envelope everywhere;
+    # the smaller bound wins.  An edge ends the sum.
     power = None if edge is not None else _power_tail(tail, p_f)
-    bound = _estimated(tail, shapes, None if power is None else lambda c, xp: np.where(
-        c.aux >= x0_f, C_f * lam ** p_f * power(c, xp), math.inf))
+    certificate = None if power is None else lambda c, xp: np.where(
+        c.aux >= x0_f, C_f * lam ** p_f * power(c, xp), math.inf)
+    if envelope is None:
+        counting = certificate
+    elif certificate is None or p_f * math.log(lam) > 709.0:   # Lambda^p past floats
+        counting = envelope
+    else:
+        counting = lambda c, xp: np.minimum(envelope(c, xp), certificate(c, xp))
+    bound = _estimated(tail, shapes, counting)
     total, terms, tail_bound, converged, tested = _certified_sum(
         spectrum, block_terms, bound, tol, base=base)
     certified = isinstance(tail, (PolynomialTail, ExponentialTail)) or not tested
     return TruncationReport(base + total, terms, tail_bound, converged, certified)
+
+
+def _envelope_tail(tail, env, lam: float):
+    """bound(cols, xp) on sum_{m>n} M_m f(mu_m/Lambda) from an envelope
+    f <= C h of f on a polynomial tail model, or None.
+
+    With h decreasing and N(L) <= A (c+L)^P, Stieltjes integration (dropping
+    -h(X/Lambda) N(X) <= 0) bounds the tail past X by
+    int_X^oo A (c+u)^P d(-h(u/Lambda)): the heat-trace bound at t = a/Lambda
+    for h = e^{-ax}, and A ((c+X)/X)^P (w Lambda)^P Gamma(P/2+1, (X/(w Lambda))^2)
+    for h = e^{-(x/w)^2}, since (c+u)/u <= (c+X)/X past X.
+    """
+    if env is None or not isinstance(tail, PolynomialTail):
+        return None
+    if env.kind == "exp":
+        t = env.a / lam
+        return lambda c, xp: env.C * _poly_heat_tail(tail, t, c.v, xp)
+    A, P, off = tail.coeff, tail.power, max(tail.offset, 0.0)
+    s = env.a * lam
+    try:
+        scale = env.C * A * s ** P
+    except OverflowError:               # (w Lambda)^P past floats: the power certificate
+        return None
+    return lambda c, xp: scale * xp.power((off + c.v) / c.v, P) \
+        * xp.upper_gamma(P / 2.0 + 1.0, (c.v / s) ** 2)
 
 
 def _laplace_shapes(f, lam: float):
@@ -645,6 +680,7 @@ def mellin_check(spectrum: Spectrum, s: complex) -> float:
         val = h0(t) * cmath.exp((s - 1.0) * math.log(t))
         return val.real if part == 0 else val.imag
 
+    from scipy.integrate import quad
     total = 0.0 + 0.0j
     for part in (0, 1):
         lo, _ = quad(low_integrand, 0.0, V, args=(part,), limit=400,

@@ -307,16 +307,17 @@ def upper_gamma(a: complex, x):
     climb starts at a = 0, where Gamma(0, x) is multiplied by 0: the
     fraction is skipped.
 
-    An array x (real a > 0) gives a real array from scipy's regularized
-    `gammaincc`; the summation engines screen whole blocks of tail bounds
-    with it.  It agrees with the scalar path to about 1e-14.
+    An array x (real a > 0) gives a real array; the summation engines
+    screen whole blocks of tail bounds with it.  At a positive integer it is
+    (a-1)! e^{-x} sum_{k<a} x^k/k!; at a half-integer, sqrt(pi) erfc(sqrt(x))
+    climbed up from a = 1/2.  Any other a takes scipy's regularized
+    `gammaincc`.  It agrees with the scalar path to about 1e-14.
     """
     a = complex(a)
     if isinstance(x, np.ndarray):
         if a.imag != 0.0 or a.real <= 0.0:
             raise ValueError("upper_gamma: an array x needs a real a > 0")
-        from scipy.special import gammaincc
-        return gamma(a).real * gammaincc(a.real, x)
+        return _upper_gamma_array(a.real, x)
     if x <= 0.0:
         raise ValueError("upper_gamma: need x > 0")
     if x < 0.3 and _is_nonpositive_int(a):
@@ -356,6 +357,30 @@ def upper_gamma(a: complex, x):
         if abs(delta - 1.0) < 1e-16:
             break
     return _climb(cmath.exp(-x + a0 * math.log(x)) * h, a0, x, shift)
+
+
+def _upper_gamma_array(a: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(a, x) over an array x > 0, for real a > 0."""
+    if a == int(a) or 2.0 * a == int(2.0 * a):
+        with np.errstate(all="ignore"):
+            ex = np.exp(-x)
+            if a == int(a):
+                # (a-1)! e^{-x} sum_{k<a} x^k/k!, Horner over the integer coefficients
+                n = int(a)
+                poly = np.zeros(x.shape)
+                for k in range(n - 1, -1, -1):
+                    poly = poly * x + math.factorial(n - 1) // math.factorial(k)
+                # e^{-x} = 0 where x^k/k! may overflow: the product is 0 there
+                return np.where(ex > 0.0, ex * poly, 0.0)
+            root = np.sqrt(x)
+            val = math.sqrt(math.pi) * np.fromiter(
+                map(math.erfc, root.ravel().tolist()), float, x.size).reshape(x.shape)
+            for m in range(int(a)):
+                # Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}, x^{m+1/2} taken as x^m sqrt(x)
+                val = (m + 0.5) * val + np.where(ex > 0.0, x ** m * root * ex, 0.0)
+            return val
+    from scipy.special import gammaincc
+    return gamma(a).real * gammaincc(a, x)
 
 
 def _climb(val: complex, a0: complex, x: float, shift: int) -> complex:

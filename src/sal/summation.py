@@ -18,6 +18,7 @@ The closed-form actions:
 with the c_m exact rationals produced by the Euler--Maclaurin pipeline:
 c_1 = -31/1890, c_2 = 41/7560, c_3 = -31/11880 (the constant term 11/90
 is c_0 of the same pipeline).  Coefficients beyond c_3 are engine-derived.
+The moments int_0^oo x^k f come from the cut-off itself (`x_moment`), exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .special import _em_coeffs, bernoulli_number, lattice_sq_counts
 
@@ -140,6 +140,7 @@ def euler_maclaurin(g: Callable[[float], float], N: int, m: int,
         raise ValueError("euler_maclaurin: m must be even and >= 2")
     if derivs is None:
         raise ValueError("euler_maclaurin: need the exact derivatives derivs")
+    from scipy.integrate import quad
     if integral is None:
         integral, _ = quad(g, 0.0, N, limit=400, epsabs=1e-13, epsrel=1e-12)
     est = integral + 0.5 * (g(0.0) + g(float(N)))
@@ -236,27 +237,22 @@ def em_tail(coeffs, shape: str, param):
 # Closed-form actions
 # ---------------------------------------------------------------------------
 
-def _as_callable(f):
-    return f.evaluate if hasattr(f, "evaluate") else f
+def _x_moment(f, k: int) -> float:
+    """int_0^oo x^k f(x) dx from the cut-off's own data."""
+    if not hasattr(f, "x_moment"):
+        raise TypeError("closed-form action: need a cut-off with moment data, not a bare callable")
+    return f.x_moment(k)
 
 
 def s3_action(f, lam: float) -> float:
     """Leading asymptotics of Tr f(|D|/Lambda) on S^3 (f even):
     Lambda^3 int_R x^2 f(x) dx - (Lambda/4) int_R f(x) dx."""
-    fe = _as_callable(f)
-    i2, _ = quad(lambda x: x * x * float(fe(x)), 0.0, np.inf, limit=400,
-                 epsabs=1e-13, epsrel=1e-12)
-    i0, _ = quad(lambda x: float(fe(x)), 0.0, np.inf, limit=400,
-                 epsabs=1e-13, epsrel=1e-12)
-    return lam ** 3 * 2.0 * i2 - lam / 4.0 * 2.0 * i0
+    return lam ** 3 * 2.0 * _x_moment(f, 2) - lam / 4.0 * 2.0 * _x_moment(f, 0)
 
 
 def t3_action(f, lam: float) -> float:
     """(1/4 pi^3) Lambda^3 int_{R^3} f(|x|) dx = (Lambda^3/pi^2) int r^2 f."""
-    fe = _as_callable(f)
-    i2, _ = quad(lambda r: r * r * float(fe(r)), 0.0, np.inf, limit=400,
-                 epsabs=1e-13, epsrel=1e-12)
-    return lam ** 3 / math.pi ** 2 * i2
+    return lam ** 3 / math.pi ** 2 * _x_moment(f, 2)
 
 
 def s4_coefficients(M: int) -> list[Fraction]:
@@ -287,16 +283,11 @@ def s4_action(f, lam: float, M_terms: int = 3) -> float:
     The cut-off must carry sqrt_derivs[m-1] = phi^(m)(0) with
     phi(u) = f(sqrt(u)) (Gaussians do).
     """
-    fe = _as_callable(f)
+    val = (4.0 / 3.0) * lam ** 4 * _x_moment(f, 3) - (4.0 / 3.0) * lam ** 2 * _x_moment(f, 1)
     sqrt_derivs = tuple(getattr(f, "sqrt_derivs", ()) or ())
     if len(sqrt_derivs) < M_terms:
         raise ValueError("s4_action: need sqrt_derivs up to order M_terms")
-    i3, _ = quad(lambda u: u ** 3 * float(fe(u)), 0.0, np.inf, limit=400,
-                 epsabs=1e-13, epsrel=1e-12)
-    i1, _ = quad(lambda u: u * float(fe(u)), 0.0, np.inf, limit=400,
-                 epsabs=1e-13, epsrel=1e-12)
-    val = (4.0 / 3.0) * lam ** 4 * i3 - (4.0 / 3.0) * lam ** 2 * i1
-    val += float(s4_constant_term()) * float(fe(0.0))
+    val += float(s4_constant_term()) * float(f.evaluate(0.0))
     for mm, c in enumerate(s4_coefficients(M_terms), start=1):
         val += float(c) * lam ** (-2 * mm) * sqrt_derivs[mm - 1]
     return val

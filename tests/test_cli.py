@@ -87,6 +87,36 @@ def test_compare_t3_gauss_log_slope(capsys):
     assert all(s >= 8.0 or s == math.inf for s in slopes)
 
 
+@pytest.mark.parametrize("args", [
+    ["compare", "--triple", "s3", "--cutoff", "sharp", "--lambda-grid", "4:16:3"],
+    ["expand", "--triple", "s3", "--cutoff", "sharp"],
+])
+def test_sharp_cutoff_has_no_expansion(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "no Laplace measure" in err
+
+
+def test_readme_calls_do_not_import_scipy():
+    code = ("import contextlib, io, sys\n"
+            "import sal.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "calls = ['heat --triple s1 --t-grid 0.1:1:10 --format csv',\n"
+            "         'zeta --triple s2 --s 3.5,0',\n"
+            "         'action --triple s3 --cutoff gauss --lambda-grid 5:20:4',\n"
+            "         'expand --triple s3sq --strips 2 --format json',\n"
+            "         'compare --triple t3 --cutoff gauss --lambda-grid 4:16:3 --lattice-cut 120',\n"
+            "         'radius --triple podless:0.5,1']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [sal.cli.main(c.split()) for c in calls]\n"
+            "print(codes)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n")[:3] == ["[]", "[0, 0, 0, 0, 0, 0]", "[]"]
+
+
 def test_radius_subcommand(capsys):
     code, out, err = run_cli(["radius", "--triple", "s1"], capsys)
     assert code == 0

@@ -18,6 +18,12 @@ estimate, `terms` counts the head, and `test_em_tails` checks every `.em` row
 against mpmath within its bound.  A sphere row with an `.em` twin was recorded
 before the spheres declared exact data: it runs on the sphere's `counted` copy
 and pins the counting-bound kernel on sums of up to 2,000,002 terms.
+
+Where a cut-off reports an envelope (f <= C e^{-ax}: `exp`, `window`, their
+products; f <= e^{-(x/w)^2}: `gauss`), the counting bound is the smaller of
+its envelope bound and its power certificate.  Those rows (`gauss` on s3 and
+nct2, `window:1,2`, and `exp:1` and `product(exp:1,exp:1)` on the counted s3)
+were each checked against a 40-digit mpmath value within their bound.
 """
 
 import math
@@ -116,13 +122,13 @@ ZETA = [   # spectrum, s, options, terms_used, value, tail_bound, converged, cer
     ('s2sq.em', 3.0, {'tol': 1e-14}, 11, complex(4.147711020573481, 0.0), 1.6875422594907364e-14, True, True),
 ]
 ACTION = [   # spectrum, cut-off, Lambda, terms_used, value, tail_bound, converged, certified
-    ('s3', 'gauss', 5.0, 292, 108.56279836796286, 1.067312261866226e-10, True, True),
-    ('s3', 'gauss', 10.0, 582, 881.7957908254942, 8.740151849741711e-10, True, True),
-    ('s3', 'gauss', 15.0, 872, 2984.3691714621623, 2.9728142121556204e-09, True, True),
-    ('s3', 'gauss', 20.0, 1162, 7080.953134367536, 7.0740915991669965e-09, True, True),
-    ('s3', 'exp:1', 150.0, 13573, 13499925.00023611, 1.3496694502921199e-05, True, True),
-    ('s3', 'window:1,2', 120.0, 11710, 2591958.411611871, 2.589562068776701e-06, True, True),
-    ('s3', 'product(exp:1,exp:1)', 500.0, 10723, 62499875.00014165, 6.235929168744864e-05, True, True),
+    ('s3', 'gauss', 5.0, 31, 108.56279836796286, 1.0536720974249456e-11, True, True),
+    ('s3', 'gauss', 10.0, 61, 881.7957908254941, 4.464490165067887e-10, True, True),
+    ('s3', 'gauss', 15.0, 91, 2984.3691714621614, 2.5922275473942552e-09, True, True),
+    ('s3', 'gauss', 20.0, 122, 7080.953134367534, 4.471332590699366e-09, True, True),
+    ('s3', 'exp:1', 150.0, 6285, 13499925.000236103, 1.3439201523873045e-05, True, True),
+    ('s3', 'window:1,2', 120.0, 5155, 2591958.411611871, 2.5722450281625524e-06, True, True),
+    ('s3', 'product(exp:1,exp:1)', 500.0, 10474, 62499875.00014163, 6.249158159394787e-05, True, True),
     ('s3', 'powerlaw:1,1,5', 10.0, 2000002, 165.4339905768506, 2.6666719999855e-06, False, True),
     ('s3', 'sharp', 40.5, 41, 45920.0, 0.0, True, True),
     ('s1', 'sharp', 5.5, 6, 11.0, 0.0, True, True),
@@ -130,7 +136,7 @@ ACTION = [   # spectrum, cut-off, Lambda, terms_used, value, tail_bound, converg
     ('podless', 'exp:1', 10.0, 8, 24.88536657202477, 2.2011961133708257e-11, True, True),
     ('podless', 'gauss', 100.0, 11, 94.15110676219163, 3.262831439922861e-14, True, True),
     ('podless', 'nulltaylor', 10.0, 40, 31.647241987522133, 2.646724132775004e-11, True, True),
-    ('nct2', 'gauss', 20.0, 1811, 2513.2738341494364, 0.3565393271748477, False, True),
+    ('nct2', 'gauss', 20.0, 1811, 2513.2738341494364, 0.005102715253318484, False, True),
     ('jsonl', 'exp:1', 3.0, 300, 35.66851038502603, math.inf, False, False),
     ('s3.em', 'exp:1', 150.0, 5, 13499925.000236114, 2.643267431732154e-21, True, True),
     ('s3.em', 'product(exp:1,exp:1)', 500.0, 5, 62499875.00014169, 7.503334706150407e-23, True, True),

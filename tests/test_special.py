@@ -287,6 +287,14 @@ def test_upper_gamma_real_grid_exactly_real():
             assert abs(val.real - float(mp.gammainc(a, x))) <= 1e-12 * val.real
 
 
+@pytest.mark.parametrize("a", [1, 2, 3, 4, 1.5, 2.5, 3.5])
+def test_upper_gamma_array_closed_forms_vs_mpmath(a):
+    # integer a: a finite sum times e^{-y}; half-integer a: erfc climbed up
+    y = np.logspace(-3.0, math.log10(700.0), 241)
+    ref = np.array([float(mp.gammainc(a, v)) for v in y.tolist()])
+    assert np.all(np.abs(upper_gamma(a, y) - ref) <= 1e-13 * ref)
+
+
 @pytest.mark.parametrize("a, x", [(0, 1e-3), (-1, 0.01)])
 def test_upper_gamma_refuses_small_x_at_nonpositive_integers(a, x):
     # the continued fraction has not converged there (5e-4 and 3e-5 relative off)

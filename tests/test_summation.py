@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from sal.cutoffs import gaussian_cutoff
+from sal.cutoffs import gaussian_cutoff, parse_cutoff
 from sal.series import spectral_action_direct
 from sal.special import bernoulli_number
 from sal.spectra import sphere_spectrum, torus_spectrum
@@ -94,6 +95,28 @@ def test_s3_action_value():
     ref = math.sqrt(math.pi) / 2.0 * 1000.0 - math.sqrt(math.pi) / 4.0 * 10.0
     assert abs(s3_action(f, 10.0) - ref) < 1e-9 * ref
     assert abs(ref - 881.8295) < 0.05  # approximate printed magnitude
+
+
+def _quad_moment(f, k: int) -> float:
+    """int_0^oo x^k f(x) dx by mpmath quadrature of f.evaluate (split at the sharp edge)."""
+    return float(mp.quad(lambda x: x ** k * float(f.evaluate(float(x))), [0, 1, 4, mp.inf]))
+
+
+@pytest.mark.parametrize("cutoff", ["exp:0.7", "window:1,2", "powerlaw:1,1,5",
+                                    "product(exp:1,exp:1)", "gauss:0.5", "sharp"])
+def test_closed_form_actions_take_exact_moments(cutoff):
+    f, lam = parse_cutoff(cutoff), 7.0
+    i0, i1, i2, i3 = (_quad_moment(f, k) for k in range(4))
+    assert s3_action(f, lam) == pytest.approx(lam ** 3 * 2.0 * i2 - lam / 2.0 * i0, rel=1e-12)
+    assert t3_action(f, lam) == pytest.approx(lam ** 3 / math.pi ** 2 * i2, rel=1e-12)
+    want = (4.0 / 3.0) * (lam ** 4 * i3 - lam ** 2 * i1) + 11.0 / 90.0 * float(f.evaluate(0.0))
+    assert s4_action(f, lam, M_terms=0) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("action", [s3_action, t3_action, s4_action])
+def test_closed_form_actions_refuse_bare_callables(action):
+    with pytest.raises(TypeError):
+        action(lambda x: np.exp(-x * x), 5.0)
 
 
 def test_s4_exact_rationals():
