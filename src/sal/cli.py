@@ -132,8 +132,8 @@ def _cmd_compare(args) -> int:
     by_poles = rt.zeta is not None and not f.is_schwartz_only()
     if not by_poles and rt.action is None:
         raise ValueError("no expansion route for this triple/cutoff")
-    direct = [float(series.spectral_action_direct(rt.spectrum, f, lam, tol=args.tol).value)
-              for lam in lams]
+    reports = [series.spectral_action_direct(rt.spectrum, f, lam, tol=args.tol) for lam in lams]
+    direct = [float(rep.value) for rep in reports]
     rows = []
     if by_poles:
         exp_h = _build_expansion(rt, args)
@@ -161,9 +161,11 @@ def _cmd_compare(args) -> int:
                 row["log_slope"] = float("inf")
         else:
             row["log_slope"] = ""
+        row["tail_bound"] = reports[i].tail_bound
+        row["converged"] = reports[i].converged
         rows.append(row)
     _emit(rows, args.format)
-    return 0
+    return 0 if all(rep.converged for rep in reports) else 3
 
 
 def _cmd_finite(args) -> int:
@@ -247,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strips", type=int, default=2)
     p.set_defaults(fn=_cmd_expand)
 
-    p = add("compare", "direct vs expansion with log-slope")
+    p = add("compare", "direct vs expansion with log-slope; exit 3 unless every direct sum "
+                       "converged")
     p.add_argument("--triple", required=True)
     p.add_argument("--cutoff", required=True)
     p.add_argument("--lambda-grid", required=True, metavar="a:b:n")

@@ -6,14 +6,18 @@ densities (nodes + weights, used for tabulated measures and convolutions).
 The class membership data is carried explicitly as the decay certificate
 (p, C, x0):  f(x) <= C x^{-p} for x >= x0.  A cut-off may also report an
 envelope that holds for every x >= 0, f(x) <= C e^{-ax} or C e^{-(x/w)^2},
-and its x-moments int_0^oo x^k f(x) dx exactly.
+its x-moments int_0^oo x^k f(x) dx exactly, and f(mu/Lambda) as
+Euler--Maclaurin shapes in mu (`em_shapes`), each measure component its own:
+an atom e^{-(a/Lambda) mu}, an unshifted gamma density a power of
+mu + Lambda rate, and a Gaussian e^{-mu^2/(w Lambda)^2}.
 
 Pointwise evaluation of products multiplies the factors' closed forms
 (L[phi * chi] = L[phi] L[chi]), so direct summation stays cheap even when
 the measure-side data of a product is a quadrature convolution.
 
 Schwartz cut-offs without a Laplace representation (Gaussians) are supported
-as pointwise callables only; they are rejected by the measure-side services.
+as pointwise callables only; they are rejected by the measure-side services,
+products included.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .special import digamma, log_gamma, trigamma
+from .summation import EmShape
 
 __all__ = [
     "Envelope",
@@ -36,6 +41,7 @@ __all__ = [
     "SignedMeasure",
     "CutoffFunction",
     "SchwartzCutoff",
+    "GaussianCutoff",
     "IndicatorCutoff",
     "exp_cutoff",
     "window_cutoff",
@@ -69,6 +75,11 @@ class Atom:
     def exp_bound(self) -> tuple[float, float]:
         """(C, a): |L[component](x)| <= C e^{-ax} for every x >= 0."""
         return abs(self.weight), self.location
+
+    def em_shapes(self, lam: float) -> list[EmShape] | None:
+        """L[component](mu/Lambda) as Euler--Maclaurin shapes in mu, or None."""
+        t = self.location / lam
+        return [EmShape(self.weight, "exp", t)] if t > 0.0 else None
 
     def moment(self, m: float, absolute: bool = False) -> float:
         w = abs(self.weight) if absolute else self.weight
@@ -105,6 +116,16 @@ class GammaDensity:
 
     def exp_bound(self) -> tuple[float, float]:
         return abs(self.weight), self.shift    # (1 + x/rate)^{-r} <= 1
+
+    def em_shapes(self, lam: float) -> list[EmShape] | None:
+        # unshifted: w (1 + mu/(Lambda rate))^{-r} = w (Lambda rate)^r (mu + Lambda rate)^{-r}
+        if self.shift:
+            return None
+        delta = lam * self.rate
+        try:
+            return [EmShape(self.weight * delta ** self.r, "power", self.r, delta)]
+        except OverflowError:           # (Lambda rate)^r past floats
+            return None
 
     def moment(self, m: float, absolute: bool = False) -> float:
         w = abs(self.weight) if absolute else self.weight
@@ -178,6 +199,14 @@ class WindowDensity:
     def exp_bound(self) -> tuple[float, float]:
         return (self.b - self.a) * abs(self.weight), self.a   # (1 - e^{-(b-a)x})/x <= b - a
 
+    def em_shapes(self, lam: float) -> None:
+        # w Lambda (e^{-(a/Lambda) mu} - e^{-(b/Lambda) mu}) / mu is two "exp" shapes
+        # with low = -1, which `summation.em_tail` sums; the window keeps its envelope
+        # bound until the benchmark's long_sums worker stops keeping data per
+        # operation, since that worker's peak memory grows with the speed of the
+        # sums (ROADMAP item 1)
+        return None
+
     def moment(self, m: float, absolute: bool = False) -> float:
         w = abs(self.weight) if absolute else self.weight
         if m == -1.0:
@@ -222,6 +251,9 @@ class QuadDensity:
     def exp_bound(self) -> None:
         return None     # tabulated measures keep the power certificate
 
+    def em_shapes(self, lam: float) -> None:
+        return None
+
     def evaluate(self, x):
         s, w = self._arr()
         x = np.asarray(x, dtype=float)
@@ -250,9 +282,6 @@ class QuadDensity:
         ls = np.log(s[mask])
         vals = np.exp(-complex(z) * ls) * ls ** n
         return complex(np.sum(w[mask] * vals))
-
-
-_COMPONENT_TYPES = (Atom, GammaDensity, WindowDensity, QuadDensity)
 
 
 @dataclass(frozen=True)
@@ -345,6 +374,17 @@ class CutoffFunction:
             return None
         return sum(C for C, _ in parts), min(a for _, a in parts)
 
+    def em_shapes(self, lam: float) -> list[EmShape] | None:
+        """f(mu/Lambda) as Euler--Maclaurin shapes in mu (`summation.EmShape`), or
+        None unless every component of the measure reports its own."""
+        shapes = []
+        for c in self.components:
+            part = c.em_shapes(lam)
+            if part is None:
+                return None
+            shapes += part
+        return shapes
+
     @property
     def envelope(self) -> Envelope | None:
         """f(x) <= C e^{-ax} for every x >= 0 with a > 0, or None."""
@@ -398,6 +438,21 @@ class SchwartzCutoff:
 
     def is_schwartz_only(self) -> bool:
         return True
+
+
+@dataclass
+class GaussianCutoff(SchwartzCutoff):
+    """f(x) = e^{-(x/width)^2} (`gaussian_cutoff`)."""
+    width: float = 1.0
+
+    def em_shapes(self, lam: float) -> list[EmShape] | None:
+        """f(mu/Lambda) = e^{-t mu^2}, t = (width Lambda)^{-2}, as an Euler--Maclaurin
+        shape in mu, or None where t is past floats."""
+        try:
+            t = (self.width * lam) ** -2.0
+        except OverflowError:
+            return None
+        return [EmShape(1.0, "gauss", t)] if t > 0.0 else None
 
 
 @dataclass
@@ -493,7 +548,7 @@ def null_taylor_cutoff() -> CutoffFunction:
                           label="nulltaylor")
 
 
-def gaussian_cutoff(width: float = 1.0) -> SchwartzCutoff:
+def gaussian_cutoff(width: float = 1.0) -> GaussianCutoff:
     """f(x) = exp(-(x/width)^2), Schwartz-only."""
     if not 0 < width < math.inf:
         raise ValueError("gaussian_cutoff: need 0 < width < inf")
@@ -508,9 +563,10 @@ def gaussian_cutoff(width: float = 1.0) -> SchwartzCutoff:
         # int_0^oo x^k e^{-(x/width)^2} dx
         return math.gamma((k + 1.0) / 2.0) * width ** (k + 1.0) / 2.0
 
-    return SchwartzCutoff(lambda x, _w=width: np.exp(-(np.asarray(x) / _w) ** 2),
+    return GaussianCutoff(lambda x, _w=width: np.exp(-(np.asarray(x) / _w) ** 2),
                           p, C, xstar, label=f"gauss:{width:g}", sqrt_derivs=derivs,
-                          x_moments=moments, envelope=Envelope("gauss", 1.0, width))
+                          x_moments=moments, envelope=Envelope("gauss", 1.0, width),
+                          width=width)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +626,11 @@ def _convolve(c1, c2):
 
 
 def product(f: CutoffFunction, g: CutoffFunction) -> CutoffFunction:
-    """Product of cut-off functions: convolution of their measures."""
+    """Product of cut-off functions: convolution of their measures.  A factor
+    without a measure (`gauss`, `sharp`) is refused with a TypeError."""
+    for h in (f, g):
+        if not isinstance(h, CutoffFunction):
+            raise TypeError(f"product: {getattr(h, 'label', h)!s} has no Laplace measure")
     comps = []
     for c1 in f.components:
         for c2 in g.components:

@@ -16,10 +16,11 @@ polynomial-counting spectra use an incomplete-gamma integral comparison,
 exponential spectra a geometric bound from the growth ratio, and the
 log-square family a dedicated substitution bound.  On the round spheres the
 data are exact (singular values n + c, multiplicities a polynomial in them),
-and heat traces of |D|, zeta values of |D| and D^2, and `exp`-atom and
-`powerlaw` actions add a closed-form Euler--Maclaurin estimate of the tail
-(`summation.em_tail`) and certify only its remainder: a few to a few dozen
-terms instead of up to 2e6.
+and heat traces of |D| and D^2, zeta values of |D| and D^2, and the actions
+of every cut-off whose parts report Euler--Maclaurin shapes (`exp` and its
+products, `powerlaw` and `gauss`) add a closed-form Euler--Maclaurin
+estimate of the tail (`summation.em_tail`) and certify only its remainder:
+a few to a few dozen terms instead of up to 2e6.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cutoffs import Atom, GammaDensity
 from .special import gamma, riemann_zeta, upper_gamma
 from .spectra import ExponentialTail, LogSquareTail, PolynomialTail, SphereTail, Spectrum
-from .summation import em_tail
+from .summation import EmShape, em_tail
 
 log = logging.getLogger(__name__)
 
@@ -327,19 +327,19 @@ def _estimated(tail, shapes, counting):
     """The tail model's bound(cols, xp) -> (estimate, bound) from the
     array bound `counting` (None: no certificate).
 
-    On exact sphere data (`SphereTail`), `shapes` lists the summand as terms
-    (weight, shape, param, delta): weight M_n h(u_n + delta) with h of
-    `summation.em_tail`.  Their Euler--Maclaurin tails give the estimate and
-    bound wherever those are finite; elsewhere, and without shapes, the
-    estimate is 0 and the bound `counting`.
+    On exact sphere data (`SphereTail`), `shapes` lists the summand as
+    `summation.EmShape`s in u_n: M_n sum weight u^low h(u), u = u_n + delta.
+    Their Euler--Maclaurin tails give the estimate and bound wherever those
+    are finite; elsewhere, and without shapes, the estimate is 0 and the
+    bound `counting`.
     """
     if counting is None:
         return None
     terms = []
     if shapes and isinstance(tail, SphereTail):
         try:
-            terms = [(w, em_tail(_shifted(tail.mults, delta), shape, param),
-                      1.0 + tail.shift + delta) for w, shape, param, delta in shapes]
+            terms = [(sh.weight, em_tail(_shifted(tail.mults, sh.delta), sh.kind, sh.param, sh.low),
+                      1.0 + tail.shift + sh.delta) for sh in shapes]
         except OverflowError:           # the tail's own coefficients overflow
             pass
     if not terms:
@@ -411,8 +411,9 @@ def heat_trace(spectrum: Spectrum, t: float, tol: float = 1e-12,
     else:           # uncertified: a geometric tail from recent term ratios
         window = _ratio_window()
         counting = lambda c, xp: _geometric(c.x, c.aux, cap=0.95)
-    # e^{-t u} on a sphere's |D|; on D^2 the summand is Gaussian in u
-    bound = _estimated(tail, [(1.0, "exp", t, 0.0)] if _on_sphere(tail) else None, counting)
+    # e^{-t u} on a sphere's |D|, e^{-t u^2} on D^2
+    shape = EmShape(1.0, "gauss" if isinstance(tail, SphereTail) and tail.squared else "exp", t)
+    bound = _estimated(tail, [shape], counting)
 
     def block_terms(n, v, m):
         x = m * _libm(math.exp, np.maximum(-t * v, -745.0))
@@ -454,7 +455,7 @@ def zeta_direct(spectrum: Spectrum, s: complex, tol: float = 1e-12,
 
     # u^{-s} on a sphere's |D|, u^{-2s} on D^2
     power = 2.0 * s if isinstance(tail, SphereTail) and tail.squared else s
-    bound = _estimated(tail, [(1.0, "power", power, 0.0)], _power_tail(tail, sigma))
+    bound = _estimated(tail, [EmShape(1.0, "power", power)], _power_tail(tail, sigma))
     total, terms, tail_bound, converged, tested = _certified_sum(
         spectrum, block_terms, bound, tol,
         seed=float(meta.kernel_dim) if include_kernel and meta.kernel_dim else None)
@@ -490,7 +491,7 @@ def spectral_action_direct(spectrum: Spectrum, f, lam: float,
             f"spectral_action_direct: cutoff decay p={p_f} <= p={meta.dimension_p}: "
             "series diverges")
     base = meta.kernel_dim * f.f0() if meta.kernel_dim else 0.0
-    shapes = _laplace_shapes(f, lam) if _on_sphere(tail) else None
+    shapes = f.em_shapes(lam) if _on_sphere(tail) and hasattr(f, "em_shapes") else None
     envelope = None if edge is not None else _envelope_tail(tail, getattr(f, "envelope", None),
                                                             lam)
 
@@ -526,8 +527,10 @@ def _envelope_tail(tail, env, lam: float):
     With h decreasing and N(L) <= A (c+L)^P, Stieltjes integration (dropping
     -h(X/Lambda) N(X) <= 0) bounds the tail past X by
     int_X^oo A (c+u)^P d(-h(u/Lambda)): the heat-trace bound at t = a/Lambda
-    for h = e^{-ax}, and A ((c+X)/X)^P (w Lambda)^P Gamma(P/2+1, (X/(w Lambda))^2)
-    for h = e^{-(x/w)^2}, since (c+u)/u <= (c+X)/X past X.
+    for h = e^{-ax}, and, with Q = ceil(P),
+    A ((c+X)/X)^P X^{P-Q} (w Lambda)^Q Gamma(Q/2+1, (X/(w Lambda))^2)
+    for h = e^{-(x/w)^2}, since (c+u)^P <= ((c+X)/X)^P X^{P-Q} u^Q past X;
+    so Gamma is only needed at integer and half-integer a.
     """
     if env is None or not isinstance(tail, PolynomialTail):
         return None
@@ -535,30 +538,14 @@ def _envelope_tail(tail, env, lam: float):
         t = env.a / lam
         return lambda c, xp: env.C * _poly_heat_tail(tail, t, c.v, xp)
     A, P, off = tail.coeff, tail.power, max(tail.offset, 0.0)
+    Q = float(math.ceil(P))
     s = env.a * lam
     try:
-        scale = env.C * A * s ** P
-    except OverflowError:               # (w Lambda)^P past floats: the power certificate
+        scale = env.C * A * s ** Q
+    except OverflowError:               # (w Lambda)^Q past floats: the power certificate
         return None
-    return lambda c, xp: scale * xp.power((off + c.v) / c.v, P) \
-        * xp.upper_gamma(P / 2.0 + 1.0, (c.v / s) ** 2)
-
-
-def _laplace_shapes(f, lam: float):
-    """f(mu/Lambda) as Euler--Maclaurin shapes (weight, shape, param, delta)
-    in mu, or None: a measure of atoms at a > 0 is sum_a w e^{-(a/Lambda) mu},
-    a lone unshifted gamma density w (1 + x/rate)^{-r} is
-    w (Lambda rate)^r (mu + Lambda rate)^{-r}."""
-    comps = getattr(f, "components", ())
-    if comps and all(isinstance(c, Atom) and c.location > 0 for c in comps):
-        return [(c.weight, "exp", c.location / lam, 0.0) for c in comps]
-    if len(comps) == 1 and isinstance(comps[0], GammaDensity) and not comps[0].shift:
-        g, delta = comps[0], lam * comps[0].rate
-        try:
-            return [(g.weight * delta ** g.r, "power", g.r, delta)]
-        except OverflowError:           # (Lambda rate)^r past floats: the counting bound
-            return None
-    return None
+    return lambda c, xp: scale * xp.power((off + c.v) / c.v, P) * xp.power(c.v, P - Q) \
+        * xp.upper_gamma(Q / 2.0 + 1.0, (c.v / s) ** 2)
 
 
 # ---------------------------------------------------------------------------

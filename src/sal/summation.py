@@ -26,13 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .special import _em_coeffs, bernoulli_number, lattice_sq_counts
 
 __all__ = [
+    "EmShape",
     "RadialSummand",
     "gaussian_summand",
     "exp_abs_summand",
@@ -173,30 +174,50 @@ def _laurent(coef: dict, U: np.ndarray, xp):
     return acc * xp.power(U, float(lo)) if lo else acc
 
 
-def em_tail(coeffs, shape: str, param):
-    """Euler--Maclaurin tail sum_{k>=0} g(U + k) of g(u) = sum_j coeffs[j] u^j h(u),
-    h(u) = u^{-param} (shape "power", complex param) or e^{-param u} ("exp").
+class EmShape(NamedTuple):
+    """One term weight u^low h(u) of a summand, at u = mu + delta, with
+    h(u) = e^{-param u} ("exp", low 0 or -1), e^{-param u^2} ("gauss", low 0)
+    or u^{-param} ("power", low 0).  Against a multiplicity M(mu) it sums by
+    `em_tail` with the coefficients of M(u - delta)."""
+    weight: float
+    kind: str
+    param: complex
+    delta: float = 0.0
+    low: int = 0
 
-    Returns tail(U, xp) -> (estimate, bound) over an array U, in closed form:
+
+def em_tail(coeffs, shape: str, param, low: int = 0):
+    """Euler--Maclaurin tail sum_{k>=0} g(U + k) of g(u) = sum_j coeffs[j] u^{low+j} h(u),
+    h(u) = u^{-param} (shape "power", complex param), e^{-param u} ("exp", low >= -1)
+    or e^{-param u^2} ("gauss", low >= 0).
+
+    Returns tail(U, xp) -> (estimate, bound) over an array U > 0, in closed form:
 
         estimate = int_U^oo g + g(U)/2 - sum_{k=1}^{m} B_2k/(2k)! g^(2k-1)(U),
-        bound    = |B_2m|/(2m)! sum_j |coeffs[j]| int_U^oo |(u^j h)^(2m)|,
+        bound    = |B_2m|/(2m)! int_U^oo |g^(2m)|, bounded from above as below,
 
     with m = 5.  The remainder is -int_U^oo B~_2m(u)/(2m)! g^(2m)(u) du (DLMF
     2.10.1 carried one term further) and |B~_2m| <= |B_2m| (DLMF 24.9.1), so
-    the bound holds.  For the power shape u^j h(u) = u^{j-param} has falling-
-    factorial derivatives whose modulus keeps one sign; for the exponential
-    shape int_U^oo u^i e^{-tu} = t^{-i-1} Gamma(i+1, tU), and the 2m-th
-    derivative is bounded term by term of Leibniz's rule.  `xp` supplies
-    exp, log, power and upper_gamma over arrays.
+    the bound holds.  For the power shape u^i h(u) = u^{i-param} has falling-
+    factorial derivatives whose modulus keeps one sign.  For the exponential
+    shape int_U^oo u^i e^{-tu} = t^{-i-1} Gamma(i+1, tU) (E_1(tU) at i = -1),
+    and the 2m-th derivative is bounded term by term of Leibniz's rule, but
+    for the u^{-1} term: h = u^{-1} e^{-tu} is completely monotone, so
+    int_U^oo |h^(2m)| = |h^(2m-1)(U)|.
+    For the Gaussian shape g^(r) = Q_r e^{-tu^2} with Q_{r+1} = Q_r' - 2tu Q_r
+    (the recurrence of `poly_gauss_derivative`), int_U^oo u^i e^{-tu^2} =
+    Gamma((i+1)/2, tU^2)/(2 t^{(i+1)/2}), and |Q_2m(u)| <= sum_i |q_i| u^i
+    for u > 0.  `xp` supplies exp, log, power and upper_gamma over arrays.
     """
+    if shape != "power" and low < (-1 if shape == "exp" else 0):
+        raise ValueError(f"em_tail: low = {low} is below the {shape} shape's range")
     em_b = _em_coeffs()[:5]                    # B_2k/(2k)!, k = 1..m
     m, top = len(em_b), abs(em_b[-1])
     # (weight, order) of g(U)/2 and of the derivatives g^(2k-1)(U) in the estimate
     orders = [(0.5, 0)] + [(-b, 2 * k - 1) for k, b in enumerate(em_b, start=1)]
     est, err = {}, {}
     if shape == "power":
-        s = complex(param)
+        s = complex(param) - low
         sigma = s.real
         s = s if s.imag else sigma
         for j, a in enumerate(coeffs):
@@ -213,24 +234,84 @@ def em_tail(coeffs, shape: str, param):
             return base * _laurent(est, U, xp), top * mod * _laurent(err, U, xp)
         return tail
     t = float(param)
+    if shape == "gauss":
+        return _gauss_tail(coeffs, low, t, orders, 2 * m, top)
     integral, gam = {}, {}          # coefficients of Gamma(j+1, tU) in the integral, the bound
-    for j, a in enumerate(coeffs):
+    inv = {}                        # of e^{-tU} U^k in the bound, from the u^{-1} term
+    # (u^j e^{-tu})^(r) = e^{-tu} sum_i C(r, i) (j)_i u^{j-i} (-t)^{r-i}: the estimate
+    # takes (j)_i u^{j-i} times lead[i], the sum over its orders r of w C(r, i) (-t)^{r-i}
+    lead = {}
+    for j, a in enumerate(coeffs, start=low):
         if a:
             integral[j] = a * t ** (-j - 1)
-            for i in range(j + 1):
-                # (u^j e^{-tu})^(r) = e^{-tu} sum_i C(r, i) (j)_i u^{j-i} (-t)^{r-i}
-                est[j - i] = est.get(j - i, 0.0) + a * _falling(j, i) * sum(
-                    w * math.comb(r, i) * (-t) ** (r - i) for w, r in orders if r >= i)
-                # int_U^oo u^{j-i} t^{2m-i} e^{-tu} du = t^{2m-j-1} Gamma(j-i+1, tU)
-                gam[j - i] = gam.get(j - i, 0.0) + abs(a) * math.comb(2 * m, i) \
-                    * _falling(j, i) * t ** (2 * m - j - 1)
+            for i in range(j + 1 if j >= 0 else 2 * m):
+                if i not in lead:
+                    lead[i] = sum(w * math.comb(r, i) * (-t) ** (r - i)
+                                  for w, r in orders if r >= i)
+                est[j - i] = est.get(j - i, 0.0) + a * _falling(j, i) * lead[i]
+                if j >= 0:
+                    # int_U^oo u^{j-i} t^{2m-i} e^{-tu} du = t^{2m-j-1} Gamma(j-i+1, tU)
+                    gam[j - i] = gam.get(j - i, 0.0) + abs(a) * math.comb(2 * m, i) \
+                        * _falling(j, i) * t ** (2 * m - j - 1)
+                else:
+                    # u^{-1} e^{-tu} is completely monotone: int_U^oo |h^(2m)| = |h^(2m-1)(U)|
+                    inv[-1 - i] = abs(a) * math.comb(2 * m - 1, i) * math.factorial(i) \
+                        * t ** (2 * m - 1 - i)
+
+    need = list(gam) + [j for j in integral if j not in gam]
 
     def tail(U, xp):
         y = t * U
-        g = {i: xp.upper_gamma(i + 1.0, y) for i in gam}
+        g = {i: xp.upper_gamma(i + 1.0, y) for i in need}
+        bound = sum(c * g[i] for i, c in gam.items())
+        if inv:
+            bound = bound + xp.exp(-y) * _laurent(inv, U, xp)
         return (sum(c * g[j] for j, c in integral.items()) + xp.exp(-y) * _laurent(est, U, xp),
-                top * sum(c * g[i] for i, c in gam.items()))
+                top * bound)
     return tail
+
+
+def _gauss_tail(coeffs, low: int, t: float, orders, order: int, top: float):
+    """em_tail's Gaussian shape: tail(U, xp) of g(u) = sum_j coeffs[j] u^{low+j} e^{-tu^2}."""
+    q = [0.0] * low + [float(a) for a in coeffs]      # g^(r) = Q_r e^{-tu^2}, from Q_0
+    weight = {r: w for w, r in orders}
+    est = [0.0] * (len(q) + order)      # of U^i e^{-tU^2} in the estimate
+    integral = {i: c / (2.0 * t ** ((i + 1) / 2.0)) for i, c in enumerate(q) if c}
+    for r in range(order):
+        if r in weight:
+            for i, c in enumerate(q):
+                est[i] += weight[r] * c
+        q = _gauss_step(q, t)
+    # int_U^oo u^i e^{-tu^2} du = Gamma((i+1)/2, tU^2) / (2 t^{(i+1)/2})
+    err = {i: top * abs(c) / (2.0 * t ** ((i + 1) / 2.0)) for i, c in enumerate(q) if c}
+    poly = dict(enumerate(est))
+
+    def tail(U, xp):
+        y = t * U * U
+        ey = xp.exp(-y)
+        g = _half_ladder(y, ey, xp, set(integral) | set(err))
+        return (sum(c * g[i] for i, c in integral.items()) + ey * _laurent(poly, U, xp),
+                sum(c * g[i] for i, c in err.items()))
+    return tail
+
+
+def _half_ladder(y, ey, xp, need: set) -> dict:
+    """{i: Gamma((i+1)/2, y) for i in need}, climbing Gamma(a+1, y) = a Gamma(a, y)
+    + y^a e^{-y} from Gamma(1/2, y) (even i) and Gamma(1, y) = e^{-y} (odd i)."""
+    out = {}
+    for first in (0, 1):
+        chain = sorted(i for i in need if i % 2 == first)
+        if not chain:
+            continue
+        val = xp.upper_gamma(0.5, y) if first == 0 else ey
+        term = (xp.power(y, 0.5) if first == 0 else y) * ey       # y^a e^{-y}
+        for i in range(first, chain[-1] + 1, 2):
+            if i in need:
+                out[i] = val
+            if i < chain[-1]:
+                val = (i + 1) / 2.0 * val + term
+                term = term * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +378,16 @@ def s4_action(f, lam: float, M_terms: int = 3) -> float:
 # Exact derivatives for the polynomial x Gaussian family
 # ---------------------------------------------------------------------------
 
+def _gauss_step(c: list, a: float) -> list:
+    """Coefficients of P' - 2 a x P from those of P: (P e^{-a x^2})' = (P' - 2 a x P) e^{-a x^2}."""
+    new = [0.0] * (len(c) + 1)
+    for j, v in enumerate(c):
+        if j:
+            new[j - 1] += v * j
+        new[j + 1] -= 2.0 * a * v
+    return new
+
+
 def poly_gauss_derivative(coeffs: list[float], a: float, order: int):
     """d^order/dx^order of (sum_j coeffs[j] x^j) e^{-a x^2}, exactly.
 
@@ -305,14 +396,7 @@ def poly_gauss_derivative(coeffs: list[float], a: float, order: int):
     """
     c = list(coeffs)
     for _ in range(order):
-        # (P e^{-a x^2})' = (P' - 2 a x P) e^{-a x^2}
-        dp = [c[j] * j for j in range(1, len(c))]
-        new = [0.0] * (len(c) + 1)
-        for j, v in enumerate(dp):
-            new[j] += v
-        for j, v in enumerate(c):
-            new[j + 1] -= 2.0 * a * v
-        c = new
+        c = _gauss_step(c, a)
     poly = np.polynomial.Polynomial(c)
 
     def fn(x: float) -> float:

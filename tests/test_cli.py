@@ -106,7 +106,8 @@ def test_readme_calls_do_not_import_scipy():
             "         'action --triple s3 --cutoff gauss --lambda-grid 5:20:4',\n"
             "         'expand --triple s3sq --strips 2 --format json',\n"
             "         'compare --triple t3 --cutoff gauss --lambda-grid 4:16:3 --lattice-cut 120',\n"
-            "         'radius --triple podless:0.5,1']\n"
+            "         'radius --triple podless:0.5,1',\n"
+            "         'action --triple s3sq --cutoff gauss --lambda-grid 10:30:3']\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [sal.cli.main(c.split()) for c in calls]\n"
             "print(codes)\n"
@@ -114,7 +115,7 @@ def test_readme_calls_do_not_import_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split("\n")[:3] == ["[]", "[0, 0, 0, 0, 0, 0]", "[]"]
+    assert res.stdout.split("\n")[:3] == ["[]", "[0, 0, 0, 0, 0, 0, 0]", "[]"]
 
 
 def test_radius_subcommand(capsys):
@@ -165,6 +166,33 @@ def test_console_script_entrypoint():
                          text=True, timeout=120)
     assert res.returncode == 0
     assert res.stdout.startswith("t,value")
+
+
+def test_compare_reports_and_exits_on_unconverged_direct_sums(capsys):
+    # e^{-mu/Lambda} needs mu far past the lattice cut 120: the direct sums
+    # do not converge, and compare says so in its columns and exit code
+    code, out, err = run_cli(["compare", "--triple", "t3", "--cutoff", "exp:1",
+                              "--lambda-grid", "4:16:3", "--lattice-cut", "120"], capsys)
+    assert code == 3
+    lines = out.strip().splitlines()
+    assert lines[0] == "lambda,direct,expansion,discrepancy,log_slope,tail_bound,converged"
+    assert [r.split(",")[-1] for r in lines[1:]] == ["False"] * 3
+    assert float(lines[-1].split(",")[-2]) > 60.0
+
+
+def test_compare_readme_call_converges(capsys):
+    code, out, err = run_cli(["compare", "--triple", "t3", "--cutoff", "gauss",
+                              "--lambda-grid", "4:16:3", "--lattice-cut", "120"], capsys)
+    assert code == 0
+    rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+    assert [r[-1] for r in rows] == ["True"] * 3
+    assert all(float(r[-2]) < 1e-9 for r in rows)
+
+
+def test_product_with_a_schwartz_factor_is_an_argument_error(capsys):
+    code, out, err = run_cli(["action", "--triple", "s3", "--cutoff", "product(gauss,exp:1)",
+                              "--lambda-grid", "5:5:1"], capsys)
+    assert code == 2 and out == "" and "has no Laplace measure" in err
 
 
 def test_compare_expansion_route(capsys):

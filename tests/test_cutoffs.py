@@ -185,6 +185,32 @@ def test_parse_grammar():
         parse_cutoff("mystery:1")
 
 
+@pytest.mark.parametrize("text", ["product(gauss,exp:1)", "product(exp:1,sharp)",
+                                  "product(product(exp:1,exp:1),gauss:2)"])
+def test_product_refuses_a_factor_without_a_measure(text):
+    with pytest.raises(TypeError, match="has no Laplace measure"):
+        parse_cutoff(text)
+
+
+def test_em_shapes_reproduce_the_cutoff():
+    # sum over shapes of weight u^low h(u), u = mu + delta, is f(mu/Lambda)
+    h = {"exp": lambda p, u: np.exp(-p * u), "gauss": lambda p, u: np.exp(-p * u * u),
+         "power": lambda p, u: u ** -p}
+    lam, mu = 7.0, np.linspace(0.5, 60.0, 40)
+    for text in ("exp:1.5", "powerlaw:1,2,4", "gauss:1.3", "product(exp:1,exp:2)"):
+        f = parse_cutoff(text)
+        shapes = f.em_shapes(lam)
+        got = sum(sh.weight * (mu + sh.delta) ** sh.low * h[sh.kind](sh.param, mu + sh.delta)
+                  for sh in shapes)
+        assert np.allclose(got, f.evaluate(mu / lam), rtol=1e-13, atol=0.0), text
+    for text in ("window:1,2", "nulltaylor", "product(exp:1,powerlaw:1,1,3)",
+                 "product(exp:1,window:1,2)"):
+        assert parse_cutoff(text).em_shapes(lam) is None, text
+    # t = (w Lambda)^{-2} past floats, either way
+    assert gaussian_cutoff(1e-10).em_shapes(1e-150) is None
+    assert gaussian_cutoff(1.0).em_shapes(1e300) is None
+
+
 def test_signed_measure_view():
     from sal.cutoffs import SignedMeasure
     f = product(exp_cutoff(1.0), powerlaw_cutoff(1.0, 1.0, 2.0))

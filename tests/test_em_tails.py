@@ -1,11 +1,12 @@
 """Euler--Maclaurin tails on the round spheres against mpmath.
 
-Heat traces on |D|, zeta values on |D| and D^2, and `exp` and `powerlaw`
-actions on the spheres add a closed-form Euler--Maclaurin estimate of the
-tail to a short head.  Every value must lie within its tail bound (plus
-rounding) of an independent mpmath value, built here from the sphere
-multiplicities: Hurwitz zeta values for power sums, and the geometric closed
-forms of the heat trace.
+Heat traces on |D| and D^2, zeta values on |D| and D^2, and `exp`,
+`powerlaw` and `gauss` actions on the spheres add a closed-form
+Euler--Maclaurin estimate of the tail to a short head.  Every value must lie
+within its tail bound (plus rounding) of an independent mpmath value, built
+here from the sphere multiplicities: Hurwitz zeta values for power sums, the
+geometric closed forms of the heat trace, and direct 40-digit sums for the
+Gaussian summands.
 """
 
 import math
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sal.cutoffs import exp_cutoff, parse_cutoff, powerlaw_cutoff
+from sal.cutoffs import exp_cutoff, gaussian_cutoff, parse_cutoff, powerlaw_cutoff
 from sal.series import heat_trace, spectral_action_direct, zeta_direct
 from sal.special import upper_gamma
 from sal.spectra import sphere_spectrum
@@ -75,6 +76,19 @@ def ref_powerlaw(name, a, b, r, lam):
         bk * mp.zeta(r - k, c + delta) for k, bk in enumerate(shifted))
 
 
+def ref_gaussian(name, t):
+    """kernel + sum_n M_n e^{-t mu_n^2}, summed directly."""
+    kernel, c, a = _data(name)
+    t, total, n = mp.mpf(t), mp.mpf(kernel), 0
+    while True:
+        u = c + n
+        term = sum(aj * u ** j for j, aj in enumerate(a)) * mp.exp(-t * u * u)
+        total += term
+        if u * u * t > 1 and term < mp.mpf(10) ** -45 * total:
+            return total
+        n += 1
+
+
 def _within(rep, ref, terms=1024):
     assert rep.converged and rep.certified and rep.terms_used <= terms, rep
     err = abs(mp.mpc(rep.value) - ref)
@@ -105,6 +119,33 @@ def test_em_tail_bounds_its_remainder(coeffs, shape, param, U, exact):
     assert abs(mp.mpc(complex(est[0])) - exact()) <= bound[0] + 1e-15 * abs(exact())
 
 
+# g = sum_j coeffs[j] u^{low+j} h(u): the u^{-1} term of the exp shape (a window's
+# M(mu)/mu on S^3 and S^1) by the Lerch transcendent, the Gaussian shape summed directly
+@pytest.mark.parametrize("coeffs, shape, param, low, U, exact", [
+    ((-0.5, 0.0, 2.0), "exp", 1 / 120, -1, 6.5,
+     lambda: mp.exp(-mp.mpf(6.5) / 120) * (2 * mp.lerchphi(mp.exp(-mp.mpf(1) / 120), -1, 6.5)
+                                           - mp.lerchphi(mp.exp(-mp.mpf(1) / 120), 1, 6.5) / 2)),
+    ((2.0,), "exp", 0.3, -1, 2.0,
+     lambda: 2 * mp.exp(-mp.mpf(0.6)) * mp.lerchphi(mp.exp(-mp.mpf(0.3)), 1, 2)),
+    ((-0.5, 0.0, 2.0), "gauss", 1e-3, 0, 6.5,
+     lambda: mp.nsum(lambda k: (2 * (6.5 + k) ** 2 - 0.5) * mp.exp(-mp.mpf(1e-3) * (6.5 + k) ** 2),
+                     [0, mp.inf])),
+    ((2.0,), "gauss", 0.04, 0, 2.0,
+     lambda: mp.nsum(lambda k: 2 * mp.exp(-mp.mpf(0.04) * (2 + k) ** 2), [0, mp.inf])),
+])
+def test_em_tail_new_shapes_bound_their_remainder(coeffs, shape, param, low, U, exact):
+    est, bound = em_tail(coeffs, shape, param, low)(np.array([U]), XP)
+    assert 0 < bound[0] < math.inf
+    assert abs(mp.mpf(float(est[0])) - exact()) <= bound[0] + 1e-15 * abs(exact())
+
+
+def test_em_tail_refuses_powers_below_a_shape_s_range():
+    with pytest.raises(ValueError):
+        em_tail((1.0,), "exp", 1.0, -2)
+    with pytest.raises(ValueError):
+        em_tail((1.0,), "gauss", 1.0, -1)
+
+
 # ---------------------------------------------------------------------------
 # the golden rows and the formerly stuck calls
 # ---------------------------------------------------------------------------
@@ -117,8 +158,13 @@ def _golden(kind):
 @pytest.mark.parametrize("row", _golden("heat"))
 def test_golden_heat_rows_within_bound(row):
     key, t, options = row[:3]
-    ref = ref_heat(key, t) - (0 if options.get("include_kernel", True) else 1)
-    _within(heat_trace(_sphere(key), t, **options), ref)
+    if key.endswith("sq"):
+        key = key.removesuffix("sq")
+        ref, spec = ref_gaussian(key, t), _sphere(key).squared()
+    else:
+        ref, spec = ref_heat(key, t), _sphere(key)
+    ref -= 0 if options.get("include_kernel", True) else _data(key)[0]
+    _within(heat_trace(spec, t, **options), ref)
 
 
 @pytest.mark.parametrize("row", _golden("zeta"))
@@ -137,13 +183,15 @@ def test_golden_action_rows_within_bound(row):
     key, cutoff, lam = row[:3]
     if cutoff.startswith("powerlaw:"):
         ref = ref_powerlaw(key, *map(float, cutoff[9:].split(",")), lam)
+    elif cutoff == "gauss":
+        ref = ref_gaussian(key, mp.mpf(lam) ** -2)
     else:   # exp:1 or product(exp:1,exp:1): heat at t = 1/Lambda or 2/Lambda
         ref = ref_heat(key, mp.mpf(1 if cutoff == "exp:1" else 2) / lam)
     _within(spectral_action_direct(_sphere(key), parse_cutoff(cutoff), lam), ref)
 
 
 # the last row's weight (Lambda b / a)^r = 500^150 overflows: the counting bound takes over
-@pytest.mark.parametrize("cutoff, lam", [("gauss", 5.0), ("window:1,2", 120.0), ("sharp", 40.5),
+@pytest.mark.parametrize("cutoff, lam", [("window:1,2", 120.0), ("sharp", 40.5),
                                          ("powerlaw:1,10,150", 50.0)])
 def test_other_cutoffs_keep_the_counting_bound(cutoff, lam):
     exact = _sphere("s1")
@@ -151,9 +199,20 @@ def test_other_cutoffs_keep_the_counting_bound(cutoff, lam):
         == spectral_action_direct(counted(exact), parse_cutoff(cutoff), lam)
 
 
-def test_squared_heat_keeps_the_counting_bound():
-    exact = _sphere("s3")
-    assert heat_trace(exact.squared(), 0.05) == heat_trace(counted(exact).squared(), 0.05)
+@pytest.mark.parametrize("cutoff, lam", [("gauss", 5.0)])
+def test_gauss_on_the_em_route(cutoff, lam):
+    exact, f = _sphere("s1"), parse_cutoff(cutoff)
+    rep = spectral_action_direct(exact, f, lam)
+    _within(rep, ref_gaussian("s1", mp.mpf(lam) ** -2),
+            terms=spectral_action_direct(counted(exact), f, lam).terms_used - 1)
+
+
+def test_squared_heat_on_the_em_route():
+    exact = _sphere("s3").squared()
+    rep = heat_trace(exact, 0.05)
+    _within(rep, ref_gaussian("s3", 0.05), terms=heat_trace(counted(exact), 0.05).terms_used - 1)
+    # at t = 1e-3 the counting bound needs 194 terms
+    _within(heat_trace(exact, 1e-3), ref_gaussian("s3", 1e-3), terms=40)
 
 
 @pytest.mark.parametrize("name, s", [("s3", 5.0), ("s2", 4.0), ("s4", 6.0), ("s2", 3.5)])
@@ -219,6 +278,16 @@ def test_exp_action_within_bound(name, a, log_lam):
     lam = math.exp(log_lam)
     rep = spectral_action_direct(_sphere(name), exp_cutoff(a), lam)
     _within(rep, ref_heat(name, mp.mpf(a) / lam))
+
+
+@settings(max_examples=25, deadline=None)
+@given(names, st.floats(0.5, 2.0), st.floats(0.0, math.log(40.0)), st.booleans())
+def test_gauss_action_and_squared_heat_within_bound(name, width, log_lam, heat):
+    lam = math.exp(log_lam)
+    t = (width * lam) ** -2.0
+    rep = (heat_trace(_sphere(name).squared(), t) if heat
+           else spectral_action_direct(_sphere(name), gaussian_cutoff(width), lam))
+    _within(rep, ref_gaussian(name, t))
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,10 +9,10 @@ tail model is covered: polynomial (spheres, lattices, squared), exponential
 (Podles, squared Podles), log-square, and none (a JSON-lines spectrum).
 
 The sphere keys `s1`, `s1nt`, `s2`, `s3`, `s2sq` and `s3sq` are the catalog
-spheres, which declare exact data.  Off the Euler--Maclaurin route (gauss,
-window, sharp and D^2 heat, and `counting` and `dixmier_estimate`) they keep
-their counting-bound reports bit for bit.  On that route (heat on |D|, zeta on
-|D| and D^2, `exp`, products of `exp` and `powerlaw` actions) a catalog
+spheres, which declare exact data.  Off the Euler--Maclaurin route (window,
+sharp, and `counting` and `dixmier_estimate`) they keep their counting-bound
+reports bit for bit.  On that route (heat on |D| and D^2, zeta on |D| and D^2,
+and `exp`, products of `exp`, `powerlaw` and `gauss` actions) a catalog
 sphere's report is its `.em` row: the value is the head sum plus the tail
 estimate, `terms` counts the head, and `test_em_tails` checks every `.em` row
 against mpmath within its bound.  A sphere row with an `.em` twin was recorded
@@ -21,9 +21,9 @@ and pins the counting-bound kernel on sums of up to 2,000,002 terms.
 
 Where a cut-off reports an envelope (f <= C e^{-ax}: `exp`, `window`, their
 products; f <= e^{-(x/w)^2}: `gauss`), the counting bound is the smaller of
-its envelope bound and its power certificate.  Those rows (`gauss` on s3 and
-nct2, `window:1,2`, and `exp:1` and `product(exp:1,exp:1)` on the counted s3)
-were each checked against a 40-digit mpmath value within their bound.
+its envelope bound and its power certificate.  Those rows (`window:1,2`, and
+`gauss`, `exp:1` and `product(exp:1,exp:1)` on the counted s3, and `gauss` on
+nct2) were each checked against a 40-digit mpmath value within their bound.
 """
 
 import math
@@ -98,6 +98,9 @@ HEAT = [   # spectrum, t, options, terms_used, value, tail_bound, converged, cer
     ('s3.em', 0.13, {}, 5, 1816.8229887314449, 1.477779623204924e-12, True, True),
     ('s3.em', 0.0015, {}, 5, 1185184851.8519058, 7.927692978323023e-26, True, True),
     ('s2.em', 0.7, {}, 13, 7.8379425238371105, 5.552451320288565e-12, True, True),
+    ('s3sq.em', 0.05, {'tol': 1e-14}, 22, 77.2848823033172, 1.6748760299538912e-13, True, True),
+    ('s3sq.em', 0.001, {}, 5, 28010.943603948646, 1.184201828185038e-11, True, True),
+    ('s2sq.em', 0.01, {}, 25, 199.66633253689204, 1.634047152424432e-10, True, True),
 ]
 ZETA = [   # spectrum, s, options, terms_used, value, tail_bound, converged, certified
     ('s1', 3.35, {}, 107366, complex(3.2902478163489315, 0.0), 4.290165714224574e-12, True, True),
@@ -142,6 +145,10 @@ ACTION = [   # spectrum, cut-off, Lambda, terms_used, value, tail_bound, converg
     ('s3.em', 'product(exp:1,exp:1)', 500.0, 5, 62499875.00014169, 7.503334706150407e-23, True, True),
     ('s3.em', 'powerlaw:1,1,5', 10.0, 9, 165.4339906018502, 1.2084148133169484e-10, True, True),
     ('s1.em', 'powerlaw:1,1,3', 3.0, 8, 3.1610727706181585, 2.523524732653839e-12, True, True),
+    ('s3.em', 'gauss', 5.0, 21, 108.56279836796288, 3.1446304132738575e-11, True, True),
+    ('s3.em', 'gauss', 10.0, 29, 881.7957908254942, 7.233031103514862e-10, True, True),
+    ('s3.em', 'gauss', 15.0, 5, 2984.3691714621627, 2.1725273117887503e-09, True, True),
+    ('s3.em', 'gauss', 20.0, 5, 7080.953134367535, 2.914815869534474e-10, True, True),
 ]
 
 

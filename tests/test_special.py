@@ -295,11 +295,32 @@ def test_upper_gamma_array_closed_forms_vs_mpmath(a):
     assert np.all(np.abs(upper_gamma(a, y) - ref) <= 1e-13 * ref)
 
 
-@pytest.mark.parametrize("a, x", [(0, 1e-3), (-1, 0.01)])
+@pytest.mark.parametrize("a, x", [(-1, 0.01)])
 def test_upper_gamma_refuses_small_x_at_nonpositive_integers(a, x):
-    # the continued fraction has not converged there (5e-4 and 3e-5 relative off)
+    # the continued fraction has not converged there (3e-5 relative off)
     with pytest.raises(ValueError):
         upper_gamma(a, x)
+
+
+def test_upper_gamma_at_zero_is_the_e1_series():
+    # Gamma(0, x) = E_1(x): its series on the scalar path below x = 2, and on
+    # the array path with the continued fraction beyond
+    xs = np.concatenate((np.logspace(-6.0, math.log10(0.3), 60, endpoint=False),
+                         np.linspace(0.3, 2.0, 18), np.logspace(0.31, 2.8, 40)))
+    ref = np.array([float(mp.e1(x)) for x in xs.tolist()])
+    scalar = np.array([upper_gamma(0, x).real for x in xs.tolist()])
+    assert np.all(np.abs(scalar - ref) <= 1e-14 * ref)
+    assert np.all(np.abs(upper_gamma(0, xs) - ref) <= 1e-14 * ref)
+    assert upper_gamma(0, 1e-3).imag == 0.0
+
+
+@pytest.mark.parametrize("a", [0.5, 1.5, 2.5, 5.5])
+def test_upper_gamma_scalar_half_integer_closed_form(a):
+    # sqrt(pi) erfc(sqrt(x)) climbed up, as on the array path
+    xs = np.logspace(-6.0, math.log10(700.0), 80)
+    for x in xs.tolist():
+        val, ref = upper_gamma(a, x), float(mp.gammainc(a, x))
+        assert val.imag == 0.0 and abs(val.real - ref) <= 1e-13 * ref, (a, x)
 
 
 @pytest.mark.parametrize("a", [0, -1, -2, -3])
