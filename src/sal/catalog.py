@@ -9,26 +9,48 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
 
-from .oracles import (CatalogZeta, catalog_zeta, podles_radius_data,
-                      s1_radius_data, s2_radius_data)
 from .spectra import (PodlesParams, Spectrum, load_spectrum_jsonl,
                       nctorus_spectrum, podles_spectrum, sphere_spectrum,
                       torus_spectrum)
-from .summation import s3_action, t3_action
 
 __all__ = ["ResolvedTriple", "resolve_triple", "default_scale"]
 
 
 @dataclass
 class ResolvedTriple:
+    """A spectrum, built at resolve time, and the closed-form data of its
+    other route, built when first read (None where there are none): `zeta`,
+    `radius_data` and `action`, (f, Lambda) -> float on the |D| of S^3, T^3."""
     triple_id: str
     spectrum: Spectrum
-    zeta: CatalogZeta | None
+    family: str                 # the catalog id of |D|: s1, ..., nct4, podles, podless, file
+    squared: bool = False       # the spectrum is that of D^2
     params: PodlesParams | None = None
-    radius_data: tuple | None = None
-    action: Callable | None = None      # closed-form action (f, Lambda) -> float
+
+    @cached_property
+    def zeta(self):
+        if self.family in ("t3", "file"):
+            return None
+        from .oracles import catalog_zeta
+        zeta = catalog_zeta(self.family, self.params)
+        return zeta.squared() if self.squared else zeta
+
+    @cached_property
+    def radius_data(self) -> tuple | None:
+        # podless data are set by resolve_triple
+        if self.family not in ("s1", "s2"):
+            return None
+        from . import oracles
+        return oracles.s1_radius_data() if self.family == "s1" else oracles.s2_radius_data()
+
+    @cached_property
+    def action(self):
+        if self.squared or self.family not in ("s3", "t3"):
+            return None     # the closed-form actions are of |D|, not of D^2
+        from . import summation
+        return summation.s3_action if self.family == "s3" else summation.t3_action
 
 
 def default_scale(p: float, n_strips: int = 24) -> list[float]:
@@ -55,54 +77,38 @@ def resolve_triple(triple_id: str, lattice_cut: float = 80.0) -> ResolvedTriple:
     squared = name.endswith("sq") and name != "sq" and not tid.startswith("file:")
     base = (name[:-2] + sep + arg) if squared else tid
 
-    params = radius_data = action = None
+    family, params = base, None
     if base == "s1":
         spec = sphere_spectrum(1, "trivial")
-        zeta = catalog_zeta("s1")
-        radius_data = s1_radius_data()
     elif base == "s1nt":
         spec = sphere_spectrum(1, "nontrivial")
-        zeta = catalog_zeta("s1nt")
-    elif base == "s2":
-        spec = sphere_spectrum(2)
-        zeta = catalog_zeta("s2")
-        radius_data = s2_radius_data()
-    elif base == "s3":
-        spec = sphere_spectrum(3)
-        zeta = catalog_zeta("s3")
-        action = s3_action
-    elif base == "s4":
-        spec = sphere_spectrum(4)
-        zeta = catalog_zeta("s4")
+    elif base in ("s2", "s3", "s4"):
+        spec = sphere_spectrum(int(base[1]))
     elif base == "t3" or base.startswith("t3:"):
         code = base[3:] if base != "t3" else "000"
         if len(code) != 3 or any(ch not in "01" for ch in code):
             raise ValueError(f"bad T^3 spin structure {code!r}")
         spec = in_range("lattice cut", f"{lattice_cut:g}", lambda: torus_spectrum(
             3, tuple(int(ch) for ch in code), radius_cut=lattice_cut / (2.0 * math.pi)))
-        zeta, action = None, t3_action
+        family = "t3"
     elif base in ("nct2", "nct4"):
         d = int(base[3:])
         spec = in_range("lattice cut", f"{lattice_cut:g}",
                         lambda: nctorus_spectrum(d, radius_cut=lattice_cut))
-        zeta = catalog_zeta(base)
     elif base.startswith("podles:") or base.startswith("podless:"):
-        simplified = base.startswith("podless:")
-        arg = base.split(":", 1)[1]
+        family, arg = base.split(":", 1)
         qs, ws = arg.split(",")
         params = PodlesParams(float(qs), complex(ws))
-        spec = podles_spectrum(params, simplified=simplified)
-        zeta = catalog_zeta("podless" if simplified else "podles", params)
-        if simplified:
-            radius_data = podles_radius_data(params)
+        spec = podles_spectrum(params, simplified=family == "podless")
     elif base.startswith("file:"):
         spec = load_spectrum_jsonl(base[5:])
-        zeta = None
+        family = "file"
     else:
         raise ValueError(f"unknown triple id {triple_id!r}")
 
-    if squared:     # the closed-form actions are of |D|, not of D^2
-        spec = spec.squared()
-        zeta = zeta.squared() if zeta is not None else None
-        action = None
-    return ResolvedTriple(tid, spec, zeta, params, radius_data, action)
+    rt = ResolvedTriple(tid, spec.squared() if squared else spec, family, squared, params)
+    if family == "podless":
+        # a few dozen logs: parameters whose data overflow are refused here
+        from .oracles import podles_radius_data
+        rt.radius_data = podles_radius_data(params)
+    return rt

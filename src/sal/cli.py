@@ -5,6 +5,8 @@ Output is CSV (with a mandatory header row) or JSON (array of row objects),
 floats always printed with 17 significant digits in scientific notation so
 identical invocations are byte-identical.  Data goes to stdout, logs to
 stderr.  Exit codes: 0 ok, 2 argument error, 3 non-converged computation.
+Each subcommand imports only the layers it calls (`expand` and `radius`
+load no numpy).
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ import json
 import math
 import sys
 
-from . import asymptotics, finite, series
 from .catalog import default_scale, in_range, resolve_triple
-from .cutoffs import parse_cutoff
 
 __all__ = ["main"]
 
@@ -51,12 +51,19 @@ def _grid(text: str) -> list[float]:
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
+def strip_count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"need a strip count >= 0, got {int(text)}")
+    return int(text)
+
+
 def _triple(args):
     return in_range("triple", args.triple,
                     lambda: resolve_triple(args.triple, lattice_cut=args.lattice_cut))
 
 
 def _cutoff(args):
+    from .cutoffs import parse_cutoff
     return in_range("cutoff", args.cutoff, lambda: parse_cutoff(args.cutoff))
 
 
@@ -73,12 +80,14 @@ def _sweep(key: str, grid: str, engine, fmt: str) -> int:
 
 
 def _cmd_heat(args) -> int:
+    from . import series
     spec = _triple(args).spectrum
     return _sweep("t", args.t_grid, lambda t: series.heat_trace(spec, t, tol=args.tol),
                   args.format)
 
 
 def _cmd_zeta(args) -> int:
+    from . import series
     rt = _triple(args)
     re_s, im_s = (float(v) for v in args.s.split(","))
     rep = series.zeta_direct(rt.spectrum, complex(re_s, im_s), tol=args.tol)
@@ -91,6 +100,7 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_action(args) -> int:
+    from . import series
     spec = _triple(args).spectrum
     f = _cutoff(args)
     return _sweep("lambda", args.lambda_grid,
@@ -99,6 +109,7 @@ def _cmd_action(args) -> int:
 
 
 def _build_expansion(rt, args):
+    from . import asymptotics
     if rt.zeta is None:
         raise ValueError(f"no closed-form pole data for {rt.triple_id}")
     poles = rt.zeta.poles()
@@ -111,6 +122,7 @@ def _build_expansion(rt, args):
 
 
 def _cmd_expand(args) -> int:
+    from . import asymptotics
     rt = _triple(args)
     exp = _build_expansion(rt, args)
     if args.cutoff:
@@ -126,6 +138,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import asymptotics, series
     rt = _triple(args)
     f = _cutoff(args)
     lams = _grid(args.lambda_grid)
@@ -169,6 +182,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_finite(args) -> int:
+    from . import finite
     with open(args.file, "r", encoding="utf-8") as fh:
         triple = finite.triple_from_json(fh.read())
     rows = []
@@ -201,6 +215,7 @@ def _cmd_finite(args) -> int:
 
 
 def _cmd_radius(args) -> int:
+    from . import asymptotics
     rt = _triple(args)
     if rt.radius_data is None:
         raise ValueError(f"no radius data for {rt.triple_id}")
@@ -246,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("expand", "residue expansion terms")
     p.add_argument("--triple", required=True)
     p.add_argument("--cutoff", default=None)
-    p.add_argument("--strips", type=int, default=2)
+    p.add_argument("--strips", type=strip_count, default=2)
     p.set_defaults(fn=_cmd_expand)
 
     p = add("compare", "direct vs expansion with log-slope; exit 3 unless every direct sum "
@@ -254,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triple", required=True)
     p.add_argument("--cutoff", required=True)
     p.add_argument("--lambda-grid", required=True, metavar="a:b:n")
-    p.add_argument("--strips", type=int, default=2)
+    p.add_argument("--strips", type=strip_count, default=2)
     p.set_defaults(fn=_cmd_compare)
 
     p = add("finite", "finite-triple checks from a JSON file")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -447,12 +448,15 @@ class GaussianCutoff(SchwartzCutoff):
 
     def em_shapes(self, lam: float) -> list[EmShape] | None:
         """f(mu/Lambda) = e^{-t mu^2}, t = (width Lambda)^{-2}, as an Euler--Maclaurin
-        shape in mu, or None where t is past floats."""
+        shape in mu, or None where t overflows.  Where t falls below the normal
+        floats (width Lambda > 6.7e153) no route certifies the sum: OverflowError."""
         try:
             t = (self.width * lam) ** -2.0
         except OverflowError:
             return None
-        return [EmShape(1.0, "gauss", t)] if t > 0.0 else None
+        if t < sys.float_info.min:
+            raise OverflowError(f"gauss: t = (width Lambda)^-2 = {t:g} is below the normal floats")
+        return [EmShape(1.0, "gauss", t)]
 
 
 @dataclass

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .asymptotics import PoleDatum
 from .special import (EULER_GAMMA, _circle_coeff, bernoulli_number, digamma,
                       epstein_Zd, epstein_residue_at_pole, gamma, hurwitz_zeta,
@@ -390,6 +388,7 @@ def podles_A_residue(params: PodlesParams) -> float:
     while len(ls) < 6:
         ls.append(ls[-1] + 1.0)
     ys = [(S(l) - c0) / (q ** (2 * l)) for l in ls]
+    import numpy as np
     # T(l) = beta l + c1 + (d1 l + d0) q^{2l}
     A = np.vstack([ls, np.ones(len(ls)),
                    [l * q ** (2 * l) for l in ls],

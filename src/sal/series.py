@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .special import gamma, riemann_zeta, upper_gamma
 from .spectra import ExponentialTail, LogSquareTail, PolynomialTail, SphereTail, Spectrum
-from .summation import EmShape, em_tail
+from .summation import EmShape, em_tail, upper_gamma_array
 
 log = logging.getLogger(__name__)
 
@@ -187,7 +187,7 @@ def _libm(fn, x: np.ndarray, *consts) -> np.ndarray:
 # libm's, as the scalar formulas had it.  The two differ by a few ulps, far
 # below _SCREEN.
 _NUMPY = SimpleNamespace(exp=np.exp, log=np.log, power=np.power,
-                         upper_gamma=lambda a, y: upper_gamma(a, y))
+                         upper_gamma=lambda a, y: upper_gamma_array(a, y))
 _LIBM = SimpleNamespace(exp=partial(_libm, math.exp), log=partial(_libm, math.log),
                         power=partial(_libm, math.pow),
                         upper_gamma=lambda a, y: np.array([upper_gamma(a, v).real

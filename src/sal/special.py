@@ -14,13 +14,12 @@ results are reproducible bit-for-bit across platforms:
     at nonpositive integers and the functional equation for Re(s) < 1/2.
   * epstein_Zd -- incomplete-gamma accelerated theta representation of the
     Epstein zeta of Z^d; globally meromorphic, single pole at s = d.
-  * lattice_sq_counts -- the exact table r_d(m) = #{k in Z^d : |k|^2 = m}
-    (optionally over parity classes of the axes), shared by the Epstein
-    zeta, the torus spectra and the Poisson comparison.
   * jacobi_theta3 -- direct lattice sum with certified truncation.
   * Bernoulli numbers/polynomials -- exact rationals from the defining
     recurrence (B_1 = -1/2 convention, so B_2 = +1/6).
   * q_number -- [x] = sinh(x ln(1/q)) / sinh(ln(1/q)).
+
+All of it is scalar and loads no numpy; `summation` holds the array forms.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
@@ -47,7 +44,6 @@ __all__ = [
     "zeta_nonpositive_int_rational",
     "epstein_Zd",
     "epstein_residue_at_pole",
-    "lattice_sq_counts",
     "jacobi_theta3",
     "bernoulli_number",
     "bernoulli_poly",
@@ -296,7 +292,7 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
 # Epstein zeta of Z^d
 # ---------------------------------------------------------------------------
 
-def upper_gamma(a: complex, x):
+def upper_gamma(a: complex, x: float) -> complex:
     """Upper incomplete Gamma(a, x) for x > 0 and complex a.
 
     At a positive half-integer, sqrt(pi) erfc(sqrt(x)) climbed up from
@@ -308,20 +304,10 @@ def upper_gamma(a: complex, x):
     smaller x is refused), shift Re(a) into (-1, 0] so the Lentz continued
     fraction converges fast, then climb back up.  At a positive integer the
     climb starts at a = 0, where Gamma(0, x) is multiplied by 0: the
-    fraction is skipped.
-
-    An array x (real a >= 0) gives a real array; the summation engines
-    screen whole blocks of tail bounds with it.  At a positive integer it is
-    (a-1)! e^{-x} sum_{k<a} x^k/k!; at a half-integer, sqrt(pi) erfc(sqrt(x))
-    climbed up from a = 1/2; at a = 0, the E_1 series up to x = 2 and the
-    continued fraction beyond.  Any other a takes scipy's regularized
-    `gammaincc`.  It agrees with the scalar path to about 1e-14.
+    fraction is skipped.  `summation.upper_gamma_array` is the same function
+    over an array x.
     """
     a = complex(a)
-    if isinstance(x, np.ndarray):
-        if a.imag != 0.0 or a.real < 0.0:
-            raise ValueError("upper_gamma: an array x needs a real a >= 0")
-        return _upper_gamma_array(a.real, x)
     if x <= 0.0:
         raise ValueError("upper_gamma: need x > 0")
     if a.imag == 0.0 and a.real > 0.0 and (2.0 * a.real) % 2.0 == 1.0:
@@ -381,84 +367,12 @@ def _e1_series(x, log):
     return acc - EULER_GAMMA - log(x)
 
 
-def _e1_array(x: np.ndarray) -> np.ndarray:
-    """E_1(x) = Gamma(0, x) over an array x > 0: the series up to x = 2, beyond
-    it the continued fraction e^{-x}/(x+1 - 1/(x+3 - 4/(x+5 - ...))) taken
-    bottom-up from a depth of 120/x + 4 at the smallest x (3e-16 relative)."""
-    out = np.empty(x.shape)
-    low = x <= _E1_SERIES_TO
-    out[low] = _e1_series(x[low], np.log)
-    if not low.all():
-        xs = x[~low]
-        depth = math.ceil(120.0 / float(xs.min())) + 4
-        f = xs + (2.0 * depth + 1.0)
-        for i in range(depth, 0, -1):
-            f = xs + (2.0 * i - 1.0) - i * i / f
-        with np.errstate(under="ignore"):
-            out[~low] = np.exp(-xs) / f
-    return out
-
-
-def _upper_gamma_array(a: float, x: np.ndarray) -> np.ndarray:
-    """Gamma(a, x) over an array x > 0, for real a >= 0."""
-    if a == 0.0:
-        return _e1_array(x)
-    if a == int(a) or 2.0 * a == int(2.0 * a):
-        with np.errstate(all="ignore"):
-            ex = np.exp(-x)
-            if a == int(a):
-                # (a-1)! e^{-x} sum_{k<a} x^k/k!, Horner over the integer coefficients
-                n = int(a)
-                poly = np.zeros(x.shape)
-                for k in range(n - 1, -1, -1):
-                    poly = poly * x + math.factorial(n - 1) // math.factorial(k)
-                # e^{-x} = 0 where x^k/k! may overflow: the product is 0 there
-                return np.where(ex > 0.0, ex * poly, 0.0)
-            root = np.sqrt(x)
-            val = _SQRT_PI * np.fromiter(
-                map(math.erfc, root.ravel().tolist()), float, x.size).reshape(x.shape)
-            for m in range(int(a)):
-                # Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}, x^{m+1/2} taken as x^m sqrt(x)
-                val = (m + 0.5) * val + np.where(ex > 0.0, x ** m * root * ex, 0.0)
-            return val
-    from scipy.special import gammaincc
-    return gamma(a).real * gammaincc(a, x)
-
-
 def _climb(val: complex, a0: complex, x: float, shift: int) -> complex:
     # Gamma(a0 + shift, x) from val = Gamma(a0, x) by Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}
     for m in range(shift):
         am = a0 + m
         val = am * val + cmath.exp(-x + am * math.log(x))
     return val
-
-
-def _squares(parity, m_max: int) -> np.ndarray:
-    # n^2 <= m_max over n >= 0: all n (parity None), or n = parity mod 2
-    n = np.arange(parity or 0, math.isqrt(m_max) + 1, 1 if parity is None else 2)
-    return n * n
-
-
-def lattice_sq_counts(parities: tuple, m_max: int) -> np.ndarray:
-    """#{n in Z^d : |n|^2 = m} for m = 0..m_max, exact int64 counts.
-
-    Axis j runs over all integers (parities[j] None) or over the integers of
-    parity parities[j]: a spin-shifted torus axis, |2k + s_j|, is parity s_j.
-    The first axis's table of squares is shift-added once per further axis
-    (n and -n counted apart, n = 0 once).
-    """
-    first, *rest = parities
-    out = np.zeros(m_max + 1, dtype=np.int64)
-    out[_squares(first, m_max)] = 2
-    if first != 1:
-        out[0] = 1
-    for p in rest:
-        acc = np.zeros_like(out)
-        for k in _squares(p, m_max).tolist():
-            if k:
-                acc[k:] += out[:m_max + 1 - k]
-        out = 2 * acc + (out if p != 1 else 0)
-    return out
 
 
 def epstein_Zd(s: complex, d: int) -> complex:
@@ -483,6 +397,7 @@ def epstein_Zd(s: complex, d: int) -> complex:
         if abs(s) < 1e-12:
             return complex(-1.0, 0.0)
         return complex(0.0, 0.0)
+    from .summation import lattice_sq_counts
     m_max = 36
     counts = lattice_sq_counts((None,) * d, m_max).tolist()
     a1 = s / 2.0

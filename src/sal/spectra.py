@@ -15,7 +15,8 @@ Catalog:
 plus a JSON-lines loader for externally supplied spectra.
 
 Both tori are cut at a radius and grouped by the exact lattice-norm counts
-of `special.lattice_sq_counts` (a spin-shifted axis is one parity class).
+of `summation.lattice_sq_counts` (a spin-shifted axis is one parity class).
+numpy loads with the first block, not with a factory or its metadata.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 from typing import Callable, Iterator
 
-import numpy as np
-
-from .special import lattice_sq_counts, q_number
+from .special import q_number
 
 __all__ = [
     "SpectrumEntry",
@@ -95,7 +94,7 @@ class SpectrumMeta:
     tail: object | None  # PolynomialTail (SphereTail) | ExponentialTail | LogSquareTail
 
 
-Block = tuple[np.ndarray, np.ndarray]   # (values float64, multiplicities)
+Block = tuple   # (values, multiplicities): numpy arrays, float64 and integer
 
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1 << 14
@@ -114,12 +113,12 @@ def block_ranges(stop: int | None = None) -> Iterator[tuple[int, int]]:
         lo, size = hi, min(2 * size, _MAX_BLOCK)
 
 
-def _finite_prefix(values: np.ndarray) -> int:
+def _finite_prefix(values) -> int:
     """Length of an increasing block's finite part: the values end at inf."""
-    return int(np.isinf(values).argmax()) if np.isinf(values[-1]) else values.size
+    return int((values == math.inf).argmax()) if values[-1] == math.inf else values.size
 
 
-def _sliced(values: np.ndarray, mults: np.ndarray) -> Callable[[], Iterator[Block]]:
+def _sliced(values, mults) -> Callable[[], Iterator[Block]]:
     """Block factory over a finite spectrum held in arrays."""
     def gen() -> Iterator[Block]:
         for lo, hi in block_ranges(values.size):
@@ -178,6 +177,7 @@ class Spectrum:
         base_blocks = self._blocks
 
         def gen() -> Iterator[Block]:
+            import numpy as np
             # the squares end where they overflow, as the values end at inf
             for values, mults in base_blocks():
                 with np.errstate(over="ignore"):
@@ -230,6 +230,7 @@ def sphere_spectrum(d: int, spin: str = "nontrivial") -> Spectrum:
             tail=SphereTail(coeff=2.0, power=1.0, offset=1.0, shift=1.0, mults=(2.0,)))
 
         def gen() -> Iterator[Block]:
+            import numpy as np
             for lo, hi in block_ranges():
                 yield np.arange(lo + 1.0, hi + 1.0), np.full(hi - lo, 2, dtype=np.int64)
 
@@ -251,7 +252,7 @@ def sphere_spectrum(d: int, spin: str = "nontrivial") -> Spectrum:
                         tail=SphereTail(coeff=coeff, power=float(d), offset=float(d),
                                         shift=d / 2.0, mults=tuple(map(float, poly))))
 
-    def mults(n: np.ndarray) -> np.ndarray:
+    def mults(np, n):
         # C(n+i, i) = C(n+i-1, i-1) (n+i) / i is exact in int64 while the
         # products stay below 2^63; past that, from Python integers
         if d * m * math.comb(int(n[-1]) + d - 1, d - 1) >= 2 ** 63:
@@ -262,9 +263,10 @@ def sphere_spectrum(d: int, spin: str = "nontrivial") -> Spectrum:
         return m * c
 
     def gen() -> Iterator[Block]:
+        import numpy as np
         for lo, hi in block_ranges():
             n = np.arange(lo, hi)
-            yield n + d / 2.0, mults(n)
+            yield n + d / 2.0, mults(np, n)
 
     def heat0(t: float) -> float:
         # m sum_n C(n+d-1, d-1) e^{-t(n + d/2)} = m e^{-td/2} (1-e^{-t})^{-d}
@@ -290,6 +292,9 @@ def _lattice_spectrum(meta: SpectrumMeta, parities: tuple, scale: float,
                       bound: float) -> Spectrum:
     """Values scale |n|, 0 < |n| <= bound, over the n in Z^d with the axis
     parities of `lattice_sq_counts`; 2^{floor(d/2)} per lattice point."""
+    import numpy as np
+
+    from .summation import lattice_sq_counts
     counts = lattice_sq_counts(parities, int(math.ceil(bound * bound)) + 1)
     m = np.flatnonzero(counts[1:]) + 1
     values = scale * np.sqrt(m)
@@ -355,7 +360,7 @@ def podles_spectrum(params: PodlesParams, simplified: bool = False) -> Spectrum:
     # mu_{n+1}/mu_n is 1/q for D_q^S, and [n+2]/[n+1] falls towards 1/q for D_q
     meta = SpectrumMeta(0.0, 0, label, tail=ExponentialTail(1.0 / q))
 
-    def block(lo: int, hi: int) -> np.ndarray:
+    def block(np, lo: int, hi: int):
         # mu on a block, mapping libm's pow or sinh as the scalar formula does
         x = np.arange(lo + 1.0, hi + 1.0)
         try:
@@ -369,8 +374,9 @@ def podles_spectrum(params: PodlesParams, simplified: bool = False) -> Spectrum:
         return np.fromiter(map(mu, range(lo, hi)), float, hi - lo)
 
     def gen() -> Iterator[Block]:
+        import numpy as np
         for lo, hi in block_ranges():
-            values = block(lo, hi)
+            values = block(np, lo, hi)
             end = _finite_prefix(values)
             if end:
                 yield values[:end], 4 * np.arange(lo + 1, lo + end + 1)
@@ -460,6 +466,7 @@ def load_spectrum_jsonl(path: str) -> Spectrum:
             raise ValueError(f"load_spectrum_jsonl: line {i}: mult must be >= 1")
         values.append(v)
         mults.append(mlt)
+    import numpy as np
     meta = SpectrumMeta(float(header["p"]), int(header["kernel"]),
                         str(header["label"]), tail=None)
     return Spectrum(meta, _sliced(np.array(values, dtype=float), np.array(mults, dtype=np.int64)))

@@ -30,7 +30,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .special import _em_coeffs, bernoulli_number, lattice_sq_counts
+from .special import (_E1_SERIES_TO, _e1_series, _em_coeffs, bernoulli_number,
+                      gamma)
 
 __all__ = [
     "EmShape",
@@ -45,7 +46,92 @@ __all__ = [
     "s4_coefficients",
     "s4_constant_term",
     "poly_gauss_derivative",
+    "upper_gamma_array",
+    "lattice_sq_counts",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Array forms: the incomplete Gamma and the lattice-norm counts
+# ---------------------------------------------------------------------------
+
+def upper_gamma_array(a: float, x: np.ndarray) -> np.ndarray:
+    """`special.upper_gamma` over an array x > 0 for real a >= 0, to about 1e-14:
+    the engines screen whole blocks of tail bounds with it.  At a positive
+    integer it is (a-1)! e^{-x} sum_{k<a} x^k/k!; at a half-integer, sqrt(pi)
+    erfc(sqrt(x)) climbed up from a = 1/2; at a = 0, the E_1 series up to
+    x = 2 and the continued fraction beyond; elsewhere scipy's `gammaincc`."""
+    if a < 0.0:
+        raise ValueError("upper_gamma_array: need a real a >= 0")
+    if a == 0.0:
+        return _e1_array(x)
+    if a == int(a) or 2.0 * a == int(2.0 * a):
+        with np.errstate(all="ignore"):
+            ex = np.exp(-x)
+            if a == int(a):
+                # (a-1)! e^{-x} sum_{k<a} x^k/k!, Horner over the integer coefficients
+                n = int(a)
+                poly = np.zeros(x.shape)
+                for k in range(n - 1, -1, -1):
+                    poly = poly * x + math.factorial(n - 1) // math.factorial(k)
+                # e^{-x} = 0 where x^k/k! may overflow: the product is 0 there
+                return np.where(ex > 0.0, ex * poly, 0.0)
+            root = np.sqrt(x)
+            val = math.sqrt(math.pi) * np.fromiter(
+                map(math.erfc, root.ravel().tolist()), float, x.size).reshape(x.shape)
+            for m in range(int(a)):
+                # Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}, x^{m+1/2} taken as x^m sqrt(x)
+                val = (m + 0.5) * val + np.where(ex > 0.0, x ** m * root * ex, 0.0)
+            return val
+    from scipy.special import gammaincc
+    return gamma(a).real * gammaincc(a, x)
+
+
+def _e1_array(x: np.ndarray) -> np.ndarray:
+    """E_1(x) = Gamma(0, x) over an array x > 0: the series up to x = 2, beyond
+    it the continued fraction e^{-x}/(x+1 - 1/(x+3 - 4/(x+5 - ...))) taken
+    bottom-up from a depth of 120/x + 4 at the smallest x (3e-16 relative)."""
+    out = np.empty(x.shape)
+    low = x <= _E1_SERIES_TO
+    out[low] = _e1_series(x[low], np.log)
+    if not low.all():
+        xs = x[~low]
+        depth = math.ceil(120.0 / float(xs.min())) + 4
+        f = xs + (2.0 * depth + 1.0)
+        for i in range(depth, 0, -1):
+            f = xs + (2.0 * i - 1.0) - i * i / f
+        with np.errstate(under="ignore"):
+            out[~low] = np.exp(-xs) / f
+    return out
+
+
+def _squares(parity, m_max: int) -> np.ndarray:
+    # n^2 <= m_max over n >= 0: all n (parity None), or n = parity mod 2
+    n = np.arange(parity or 0, math.isqrt(m_max) + 1, 1 if parity is None else 2)
+    return n * n
+
+
+def lattice_sq_counts(parities: tuple, m_max: int) -> np.ndarray:
+    """#{n in Z^d : |n|^2 = m} for m = 0..m_max, exact int64 counts (the
+    Epstein zeta, the torus spectra and the Poisson comparison).
+
+    Axis j runs over all integers (parities[j] None) or over the integers of
+    parity parities[j]: a spin-shifted torus axis, |2k + s_j|, is parity s_j.
+    The first axis's table of squares is shift-added once per further axis
+    (n and -n counted apart, n = 0 once).
+    """
+    first, *rest = parities
+    out = np.zeros(m_max + 1, dtype=np.int64)
+    out[_squares(first, m_max)] = 2
+    if first != 1:
+        out[0] = 1
+    for p in rest:
+        acc = np.zeros_like(out)
+        for k in _squares(p, m_max).tolist():
+            if k:
+                acc[k:] += out[:m_max + 1 - k]
+        out = 2 * acc + (out if p != 1 else 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

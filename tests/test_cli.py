@@ -118,6 +118,105 @@ def test_readme_calls_do_not_import_scipy():
     assert res.stdout.split("\n")[:3] == ["[]", "[0, 0, 0, 0, 0, 0, 0]", "[]"]
 
 
+README_CALLS = {
+    "heat": "heat --triple s1 --t-grid 0.1:1:10 --format csv",
+    "zeta": "zeta --triple s2 --s 3.5,0",
+    "action": "action --triple s3 --cutoff gauss --lambda-grid 5:20:4",
+    "expand": "expand --triple s3sq --strips 2 --format json",
+    "compare": "compare --triple t3 --cutoff gauss --lambda-grid 4:16:3 --lattice-cut 120",
+    "finite": "finite --file {path} --check all",
+    "radius": "radius --triple podless:0.5,1",
+}
+# modules a README call must not load: expand and radius are scalar pole and
+# radius arithmetic, finite is matrices, heat and zeta are direct sums
+NOT_LOADED = {
+    "expand": {"numpy"},
+    "radius": {"numpy"},
+    "finite": {"sal.series", "sal.cutoffs", "sal.oracles"},
+    "heat": {"sal.cutoffs", "sal.finite", "sal.asymptotics"},
+    "zeta": {"sal.cutoffs", "sal.finite", "sal.asymptotics"},
+}
+
+
+def _imported(args: list[str]) -> tuple[int, set[str]]:
+    """Exit code and every module a fresh `python -m ...` process imports."""
+    res = subprocess.run([sys.executable, "-X", "importtime", *args],
+                         capture_output=True, text=True, timeout=120)
+    names = {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
+             if line.startswith("import time:")}
+    return res.returncode, names
+
+
+@pytest.mark.parametrize("name", list(README_CALLS))
+def test_readme_calls_load_only_what_their_subcommand_uses(tmp_path, name):
+    path = tmp_path / "triple.json"
+    path.write_text(triple_to_json(ko_reference_triple(2, np.random.default_rng(0))))
+    code, names = _imported(["-m", "sal.cli", *README_CALLS[name].format(path=path).split()])
+    assert code == 0
+    assert "sal.catalog" in names       # sal.cli itself runs as __main__
+    assert not names & NOT_LOADED.get(name, set()), names & NOT_LOADED[name]
+
+
+def test_importing_sal_loads_no_submodule():
+    code, names = _imported(["-c", "import sal"])
+    assert code == 0 and "sal" in names
+    assert not {n for n in names if n.startswith("sal.")}
+
+
+def test_every_exported_name_resolves_lazily():
+    import importlib
+
+    import sal
+    for name in sal.__all__:
+        scope = {}
+        exec(f"from sal import {name}", scope)
+        assert scope[name] is getattr(sal, name)
+        assert getattr(importlib.import_module(f"sal.{sal._HOME[name]}"), name) is scope[name]
+    assert set(sal.__all__) <= set(dir(sal))
+    from sal import asymptotics, catalog, cutoffs, finite, oracles, series  # noqa: F401
+    assert sal.summation is importlib.import_module("sal.summation")
+    assert sal.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        sal.no_such_name
+
+
+def test_resolve_triple_builds_closed_form_data_on_first_read():
+    from sal import oracles, summation
+    from sal.catalog import resolve_triple
+    rt = resolve_triple("s2")
+    assert not {"zeta", "radius_data", "action"} & set(vars(rt))
+    assert rt.radius_data == oracles.s2_radius_data() and rt.action is None
+    assert rt.zeta.value(3.5) == oracles.catalog_zeta("s2").value(3.5)
+    sq = resolve_triple("s3sq")
+    assert sq.action is None and sq.zeta.dimension_p == 1.5
+    assert resolve_triple("s3").action is summation.s3_action
+    t3 = resolve_triple("t3:100")
+    assert t3.zeta is None and t3.action is summation.t3_action and t3.radius_data is None
+    # the simplified Podles data are a few dozen logs, checked at resolve time
+    pl = resolve_triple("podless:0.5,1")
+    assert vars(pl)["radius_data"] == oracles.podles_radius_data(pl.params)
+
+
+@pytest.mark.parametrize("args", [
+    ["expand", "--triple", "s3sq", "--strips", "-1", "--format", "json"],
+    ["compare", "--triple", "s3", "--cutoff", "exp:1", "--lambda-grid", "5:10:2",
+     "--strips", "-3"],
+])
+def test_negative_strip_counts_are_argument_errors(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "argument --strips: need a strip count >= 0" in err
+
+
+def test_gauss_past_the_float_range_names_lambda(capsys):
+    # t = (w Lambda)^-2 underflows: no route certifies the sum, and the
+    # refusal names the parameter at fault
+    code, out, err = run_cli(["action", "--triple", "s1", "--cutoff", "gauss",
+                              "--lambda-grid", "1e200:1e200:1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: lambda 1e+200 is out of range (")
+
+
 def test_radius_subcommand(capsys):
     code, out, err = run_cli(["radius", "--triple", "s1"], capsys)
     assert code == 0

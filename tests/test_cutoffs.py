@@ -206,9 +206,13 @@ def test_em_shapes_reproduce_the_cutoff():
     for text in ("window:1,2", "nulltaylor", "product(exp:1,powerlaw:1,1,3)",
                  "product(exp:1,window:1,2)"):
         assert parse_cutoff(text).em_shapes(lam) is None, text
-    # t = (w Lambda)^{-2} past floats, either way
+    # t = (w Lambda)^{-2} past floats: no shape where it overflows, and a
+    # refusal where it falls below the normal floats
     assert gaussian_cutoff(1e-10).em_shapes(1e-150) is None
-    assert gaussian_cutoff(1.0).em_shapes(1e300) is None
+    for lam in (1e155, 1e300):
+        with pytest.raises(OverflowError, match="below the normal floats"):
+            gaussian_cutoff(1.0).em_shapes(lam)
+    assert gaussian_cutoff(1.0).em_shapes(6e153)[0].param > 0.0
 
 
 def test_signed_measure_view():

@@ -14,8 +14,8 @@ import pytest
 
 from sal.cutoffs import (CutoffFunction, GammaDensity, exp_cutoff, parse_cutoff)
 from sal.series import spectral_action_direct
-from sal.special import lattice_sq_counts
 from sal.spectra import nctorus_spectrum, sphere_spectrum, torus_spectrum
+from sal.summation import lattice_sq_counts
 
 mp.mp.dps = 30
 

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from sal.special import (EULER_GAMMA, PoleError, bernoulli_number,
                          bernoulli_poly, bernoulli_poly_coeffs, digamma,
                          epstein_Zd, epstein_residue_at_pole, gamma,
-                         gamma_laurent, hurwitz_zeta, jacobi_theta3,
-                         lattice_sq_counts, q_number,
+                         gamma_laurent, hurwitz_zeta, jacobi_theta3, q_number,
                          riemann_zeta, trigamma, upper_gamma)
+from sal.summation import lattice_sq_counts, upper_gamma_array
 
 mp.mp.dps = 30
 
@@ -292,7 +292,7 @@ def test_upper_gamma_array_closed_forms_vs_mpmath(a):
     # integer a: a finite sum times e^{-y}; half-integer a: erfc climbed up
     y = np.logspace(-3.0, math.log10(700.0), 241)
     ref = np.array([float(mp.gammainc(a, v)) for v in y.tolist()])
-    assert np.all(np.abs(upper_gamma(a, y) - ref) <= 1e-13 * ref)
+    assert np.all(np.abs(upper_gamma_array(a, y) - ref) <= 1e-13 * ref)
 
 
 @pytest.mark.parametrize("a, x", [(-1, 0.01)])
@@ -310,7 +310,7 @@ def test_upper_gamma_at_zero_is_the_e1_series():
     ref = np.array([float(mp.e1(x)) for x in xs.tolist()])
     scalar = np.array([upper_gamma(0, x).real for x in xs.tolist()])
     assert np.all(np.abs(scalar - ref) <= 1e-14 * ref)
-    assert np.all(np.abs(upper_gamma(0, xs) - ref) <= 1e-14 * ref)
+    assert np.all(np.abs(upper_gamma_array(0, xs) - ref) <= 1e-14 * ref)
     assert upper_gamma(0, 1e-3).imag == 0.0
 
 
