@@ -153,10 +153,11 @@ def action_expansion(heat_exp: AsymptoticExpansion, f, d: int = 2,
     if not hasattr(f, "f_moment"):     # Schwartz-only, sharp, or a bare callable
         raise TypeError("action_expansion: cutoff has no Laplace measure")
     p_spec = spectrum_p if spectrum_p is not None else heat_exp.max_re_z()
-    p_f = f.decay_certificate[0]
-    if p_f <= p_spec:
+    # an envelope (exponential decay) gives every moment; a power decay p_f needs p_f > p
+    cert = f.decay_certificate
+    if cert is not None and cert[0] <= p_spec:
         raise ValueError(
-            f"action_expansion: cutoff decay p={p_f} must exceed spectrum p={p_spec}")
+            f"action_expansion: cutoff decay p={cert[0]} must exceed spectrum p={p_spec}")
     by_z: dict[complex, dict[int, complex]] = {}
     strip_of: dict[complex, int] = {}
     for t in heat_exp.terms:

@@ -145,7 +145,8 @@ def _cmd_compare(args) -> int:
     by_poles = rt.zeta is not None and not f.is_schwartz_only()
     if not by_poles and rt.action is None:
         raise ValueError("no expansion route for this triple/cutoff")
-    reports = [series.spectral_action_direct(rt.spectrum, f, lam, tol=args.tol) for lam in lams]
+    reports = [in_range("lambda", repr(lam), lambda: series.spectral_action_direct(
+        rt.spectrum, f, lam, tol=args.tol)) for lam in lams]
     direct = [float(rep.value) for rep in reports]
     rows = []
     if by_poles:
@@ -156,11 +157,11 @@ def _cmd_compare(args) -> int:
         # reconcile with the kernel convention ker f(0) + sum' of the
         # direct summation (the f(0) - f(1/Lambda) term)
         ker = rt.spectrum.meta.kernel_dim
-        expansion_vals = [asymptotics.evaluate_expansion(exp_a, lam, args.strips)
-                          + ker * (f.f0() - float(f.evaluate(1.0 / lam)))
-                          for lam in lams]
+        expansion = lambda lam: (asymptotics.evaluate_expansion(exp_a, lam, args.strips)
+                                 + ker * (f.f0() - float(f.evaluate(1.0 / lam))))
     else:       # Schwartz route: the leading closed form of the action
-        expansion_vals = [rt.action(f, lam) for lam in lams]
+        expansion = lambda lam: rt.action(f, lam)
+    expansion_vals = [in_range("lambda", repr(lam), lambda: expansion(lam)) for lam in lams]
     for i, lam in enumerate(lams):
         disc = direct[i] - expansion_vals[i]
         row = {"lambda": lam, "direct": direct[i],

@@ -3,12 +3,15 @@
 A cut-off f = L[phi] is represented by its measure phi, decomposed into
 atoms, gamma-type densities, window (indicator) densities and quadrature
 densities (nodes + weights, used for tabulated measures and convolutions).
-The class membership data is carried explicitly as the decay certificate
-(p, C, x0):  f(x) <= C x^{-p} for x >= x0.  A cut-off may also report an
-envelope that holds for every x >= 0, f(x) <= C e^{-ax} or C e^{-(x/w)^2},
-its x-moments int_0^oo x^k f(x) dx exactly, and f(mu/Lambda) as
-Euler--Maclaurin shapes in mu (`em_shapes`), each measure component its own:
-an atom e^{-(a/Lambda) mu}, an unshifted gamma density a power of
+Every cut-off reports exactly one tail certificate: a sharp `edge` (`sharp`);
+an `envelope` that holds for every x >= 0, f(x) <= C e^{-ax} with a > 0 or
+f(x) <= C e^{-(x/w)^2} (`exp`, `window:a,b` with a > 0, `gauss`, and every
+product whose rates add up to a > 0); or, for a cut-off that decays only as
+a power (`powerlaw`, `window:0,b`, `nulltaylor` and products of these), the
+`decay_certificate` (p, C, x0): |f(x)| <= C x^{-p} for x >= x0.  A cut-off
+may also report its x-moments int_0^oo x^k f(x) dx exactly, and f(mu/Lambda)
+as Euler--Maclaurin shapes in mu (`em_shapes`), each measure component its
+own: an atom e^{-(a/Lambda) mu}, an unshifted gamma density a power of
 mu + Lambda rate, and a Gaussian e^{-mu^2/(w Lambda)^2}.
 
 Pointwise evaluation of products multiplies the factors' closed forms
@@ -249,8 +252,8 @@ class QuadDensity:
     def _arr(self):
         return np.asarray(self.nodes, dtype=float), np.asarray(self.weights, dtype=float)
 
-    def exp_bound(self) -> None:
-        return None     # tabulated measures keep the power certificate
+    def exp_bound(self) -> tuple[float, float]:
+        return float(np.sum(np.abs(self._arr()[1]))), 0.0     # nodes >= 0
 
     def em_shapes(self, lam: float) -> None:
         return None
@@ -303,11 +306,11 @@ class SignedMeasure:
 
 @dataclass
 class CutoffFunction:
-    """f = L[phi] with phi a signed measure on [0, oo)."""
+    """f = L[phi] with phi a signed measure on [0, oo).  `decay_certificate`
+    (p, C, x0), |f(x)| <= C x^{-p} for x >= x0, is given exactly when f has
+    no decaying `envelope`."""
     components: tuple
-    decay_p: float
-    decay_C: float
-    decay_x0: float
+    decay_certificate: tuple[float, float, float] | None = None
     label: str = ""
     factors: tuple = ()   # nonempty for products: pointwise f = prod of factors
 
@@ -348,31 +351,23 @@ class CutoffFunction:
         if n < 0:
             raise ValueError("f_moment: need n >= 0")
         zc = complex(z)
-        if zc.real > 0 and math.isfinite(self.decay_p) and zc.real >= self.decay_p + 1e-9:
-            raise ValueError(
-                f"f_moment: Re(z)={zc.real} outside certificate p={self.decay_p}")
+        p = math.inf if self.decay_certificate is None else self.decay_certificate[0]
+        if zc.real >= p + 1e-9:
+            raise ValueError(f"f_moment: Re(z)={zc.real} outside certificate p={p}")
         return complex(sum(c.f_moment(zc, n) for c in self.components))
 
     def x_moment(self, k: float) -> float:
         """int_0^oo x^k f(x) dx = Gamma(k+1) f_{k+1,0}."""
         return math.gamma(k + 1.0) * self.f_moment(k + 1.0, 0).real
 
-    @property
-    def decay_certificate(self) -> tuple[float, float, float]:
-        return (self.decay_p, self.decay_C, self.decay_x0)
-
-    def exp_bound(self) -> tuple[float, float] | None:
-        """(C, a >= 0) with f(x) <= C e^{-ax} for every x >= 0, or None: a
-        product multiplies its factors' C and adds their rates, a sum of
-        components adds their C and takes the smallest rate."""
+    def exp_bound(self) -> tuple[float, float]:
+        """(C, a >= 0) with |f(x)| <= C e^{-ax} for every x >= 0: a product
+        multiplies its factors' C and adds their rates, a sum of components
+        adds their C and takes the smallest rate."""
         if self.factors:
             parts = [fac.exp_bound() for fac in self.factors]
-            if None in parts:
-                return None
             return math.prod(C for C, _ in parts), sum(a for _, a in parts)
         parts = [c.exp_bound() for c in self.components]
-        if None in parts:
-            return None
         return sum(C for C, _ in parts), min(a for _, a in parts)
 
     def em_shapes(self, lam: float) -> list[EmShape] | None:
@@ -389,8 +384,8 @@ class CutoffFunction:
     @property
     def envelope(self) -> Envelope | None:
         """f(x) <= C e^{-ax} for every x >= 0 with a > 0, or None."""
-        bound = self.exp_bound()
-        return Envelope("exp", *bound) if bound is not None and bound[1] > 0 else None
+        C, a = self.exp_bound()
+        return Envelope("exp", C, a) if a > 0 else None
 
     def nonnegativity_minimum(self, n_grid: int = 1000) -> float:
         xs = np.logspace(-4, 4, n_grid)
@@ -408,12 +403,9 @@ class SchwartzCutoff:
     residue-expansion machinery rejects it.  `sqrt_derivs` optionally supplies
     the derivatives at 0 of u -> f(sqrt(u)) for the S^4 pipeline,
     `x_moments(k)` the moments int_0^oo x^k f(x) dx for the closed-form
-    actions, and `envelope` a bound on f at every x >= 0 for the tails.
+    actions, and `envelope` a bound on f at every x >= 0, its tail certificate.
     """
     fn: object
-    decay_p: float
-    decay_C: float
-    decay_x0: float
     label: str = "schwartz"
     sqrt_derivs: tuple = ()
     x_moments: Callable[[float], float] | None = None
@@ -432,10 +424,6 @@ class SchwartzCutoff:
         if self.x_moments is None:
             raise TypeError(f"{self.label}: cut-off has no moment data")
         return self.x_moments(k)
-
-    @property
-    def decay_certificate(self):
-        return (self.decay_p, self.decay_C, self.decay_x0)
 
     def is_schwartz_only(self) -> bool:
         return True
@@ -481,10 +469,6 @@ class IndicatorCutoff:
     def x_moment(self, k: float) -> float:
         return self.edge ** (k + 1.0) / (k + 1.0)
 
-    @property
-    def decay_certificate(self):
-        return (math.inf, 0.0, self.edge)
-
     def is_schwartz_only(self) -> bool:
         return False
 
@@ -493,29 +477,30 @@ class IndicatorCutoff:
 # Constructors
 # ---------------------------------------------------------------------------
 
+def _finite_moments(f):
+    """f, refused (OverflowError) unless its moments int_0^oo x^k f(x) dx,
+    k <= 3, are finite: the closed-form S^3, T^3 and S^4 actions read them."""
+    for k in range(4):
+        if not math.isfinite(f.x_moment(k)):
+            raise OverflowError(f"{f.label}: int_0^oo x^{k} f(x) dx is past the floats")
+    return f
+
+
 def exp_cutoff(a: float) -> CutoffFunction:
     """f(x) = e^{-a x} = L[delta_a]."""
     if not 0 < a < math.inf:
         raise ValueError("exp_cutoff: need 0 < a < inf")
-    # power-law certificate with p = 16: max of x^16 e^{-ax} at x = 16/a
-    p = 16.0
-    C = (p / a) ** p * math.exp(-p)
-    return CutoffFunction((Atom(a, 1.0),), p, C, 16.0 / a, label=f"exp:{a:g}")
+    return _finite_moments(CutoffFunction((Atom(a, 1.0),), label=f"exp:{a:g}"))
 
 
 def window_cutoff(a: float, b: float) -> CutoffFunction:
     """f(x) = (e^{-ax} - e^{-bx})/x = L[chi_[a,b]]."""
     if not 0 <= a < b < math.inf:
         raise ValueError("window_cutoff: need 0 <= a < b < inf")
-    if a > 0:
-        p = 16.0
-        # f(x) <= (b-a) e^{-a x}; bound against x^{-p} as for atoms
-        C = (b - a) * (p / a) ** p * math.exp(-p)
-        x0 = p / a
-    else:
-        p, C, x0 = 1.0, 1.0, 0.0  # x f(x) = 1 - e^{-bx} <= 1
-    return CutoffFunction((WindowDensity(a, b, 1.0),), p, C, x0,
-                          label=f"window:{a:g},{b:g}")
+    label = f"window:{a:g},{b:g}"
+    if a == 0:      # x f(x) = 1 - e^{-bx} <= 1
+        return CutoffFunction((WindowDensity(a, b, 1.0),), (1.0, 1.0, 0.0), label=label)
+    return _finite_moments(CutoffFunction((WindowDensity(a, b, 1.0),), label=label))
 
 
 def powerlaw_cutoff(a: float, b: float, r: float) -> CutoffFunction:
@@ -523,8 +508,7 @@ def powerlaw_cutoff(a: float, b: float, r: float) -> CutoffFunction:
     if not all(0 < x < math.inf for x in (a, b, r)):
         raise ValueError("powerlaw_cutoff: need 0 < a, b, r < inf")
     comp = GammaDensity(r=r, rate=b / a, weight=b ** (-r))
-    return CutoffFunction((comp,), r, a ** (-r), 1e-6,
-                          label=f"powerlaw:{a:g},{b:g},{r:g}")
+    return CutoffFunction((comp,), (r, a ** (-r), 1e-6), label=f"powerlaw:{a:g},{b:g},{r:g}")
 
 
 def null_taylor_cutoff() -> CutoffFunction:
@@ -548,7 +532,7 @@ def null_taylor_cutoff() -> CutoffFunction:
         weights.extend((w * dens).tolist())
     p = 1.25
     C = math.fsum(abs(w) * (p / (math.e * s)) ** p for s, w in zip(nodes, weights))
-    return CutoffFunction((QuadDensity(tuple(nodes), tuple(weights)),), p, C, 1.0,
+    return CutoffFunction((QuadDensity(tuple(nodes), tuple(weights)),), (p, C, 1.0),
                           label="nulltaylor")
 
 
@@ -556,10 +540,6 @@ def gaussian_cutoff(width: float = 1.0) -> GaussianCutoff:
     """f(x) = exp(-(x/width)^2), Schwartz-only."""
     if not 0 < width < math.inf:
         raise ValueError("gaussian_cutoff: need 0 < width < inf")
-    p = 12.0
-    # C = max over x >= x0 of x^p e^{-(x/width)^2}, attained at x = width sqrt(p/2)
-    xstar = width * math.sqrt(p / 2.0)
-    C = xstar ** p * math.exp(-(xstar / width) ** 2) * 1.01
     # derivatives at 0 of u -> exp(-u/width^2): (-1/width^2)^m
     derivs = tuple((-1.0 / width ** 2) ** m for m in range(1, 13))
 
@@ -567,10 +547,10 @@ def gaussian_cutoff(width: float = 1.0) -> GaussianCutoff:
         # int_0^oo x^k e^{-(x/width)^2} dx
         return math.gamma((k + 1.0) / 2.0) * width ** (k + 1.0) / 2.0
 
-    return GaussianCutoff(lambda x, _w=width: np.exp(-(np.asarray(x) / _w) ** 2),
-                          p, C, xstar, label=f"gauss:{width:g}", sqrt_derivs=derivs,
-                          x_moments=moments, envelope=Envelope("gauss", 1.0, width),
-                          width=width)
+    return _finite_moments(GaussianCutoff(
+        lambda x, _w=width: np.exp(-(np.asarray(x) / _w) ** 2), label=f"gauss:{width:g}",
+        sqrt_derivs=derivs, x_moments=moments, envelope=Envelope("gauss", 1.0, width),
+        width=width))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +611,9 @@ def _convolve(c1, c2):
 
 def product(f: CutoffFunction, g: CutoffFunction) -> CutoffFunction:
     """Product of cut-off functions: convolution of their measures.  A factor
-    without a measure (`gauss`, `sharp`) is refused with a TypeError."""
+    without a measure (`gauss`, `sharp`) is refused with a TypeError.  A
+    product whose rates add up to 0 has no envelope; neither factor has one
+    then, so both carry decay certificates, and Cl_0^p Cl_0^r is in Cl_0^{p+r}."""
     for h in (f, g):
         if not isinstance(h, CutoffFunction):
             raise TypeError(f"product: {getattr(h, 'label', h)!s} has no Laplace measure")
@@ -639,15 +621,12 @@ def product(f: CutoffFunction, g: CutoffFunction) -> CutoffFunction:
     for c1 in f.components:
         for c2 in g.components:
             comps.append(_convolve(c1, c2))
-    factors = (f.factors or (f,)) + (g.factors or (g,))
-    return CutoffFunction(
-        tuple(comps),
-        decay_p=f.decay_p + g.decay_p,
-        decay_C=f.decay_C * g.decay_C,
-        decay_x0=max(f.decay_x0, g.decay_x0),
-        label=f"product({f.label},{g.label})",
-        factors=factors,
-    )
+    out = CutoffFunction(tuple(comps), label=f"product({f.label},{g.label})",
+                         factors=(f.factors or (f,)) + (g.factors or (g,)))
+    if out.envelope is None:
+        (p, C, x0), (r, D, y0) = f.decay_certificate, g.decay_certificate
+        out.decay_certificate = (p + r, C * D, max(x0, y0))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -471,48 +471,45 @@ def spectral_action_direct(spectrum: Spectrum, f, lam: float,
                            tol: float = 1e-12) -> TruncationReport:
     """Tr f(|D|/Lambda) = kernel_dim f(0) + sum_n M_n f(mu_n/Lambda).
 
-    `f` must expose `evaluate`, `f0` and `decay_certificate` (CutoffFunction,
-    SchwartzCutoff or IndicatorCutoff); a bare callable is refused since no
-    truncation can be certified.  Without a sharp edge, the certificate must
-    decay: p = inf is refused, and on a spectrum with polynomial growth a
-    decay p <= dimension_p diverges (DivergentSeriesError).
+    `f` exposes `evaluate`, `f0` and exactly one tail certificate: a sharp
+    `edge`, which ends the sum; an `envelope` f <= C h for every x >= 0,
+    h(x) = e^{-ax} or e^{-(x/w)^2}; or a `decay_certificate` (p, C, x0),
+    |f(x)| <= C x^{-p} for x >= x0 (CutoffFunction, SchwartzCutoff or
+    IndicatorCutoff).  Any other cut-off, a bare callable included, is
+    refused with a TypeError, since no truncation can be certified.  On a
+    spectrum with polynomial growth a decay p <= dimension_p diverges
+    (DivergentSeriesError).  An envelope bound past the floats raises
+    OverflowError.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError(f"spectral_action_direct: need 0 < Lambda < inf, got {lam}")
-    if not hasattr(f, "decay_certificate"):
-        raise TypeError("spectral_action_direct: cutoff lacks a decay certificate")
-    p_f, C_f, x0_f = f.decay_certificate
+    edge, env, cert = (getattr(f, k, None) for k in ("edge", "envelope", "decay_certificate"))
+    if (edge is not None) + (env is not None) + (cert is not None) != 1:
+        raise TypeError("spectral_action_direct: the cutoff must report exactly one tail "
+                        "certificate (a sharp edge, an envelope or a decay certificate)")
     meta, tail = spectrum.meta, spectrum.meta.tail
-    edge = getattr(f, "edge", None)
-    if edge is None and math.isinf(p_f):
-        raise ValueError("spectral_action_direct: decay p = inf needs a sharp edge")
-    if edge is None and isinstance(tail, PolynomialTail) and p_f <= meta.dimension_p:
+    if cert is not None and isinstance(tail, PolynomialTail) and cert[0] <= meta.dimension_p:
         raise DivergentSeriesError(
-            f"spectral_action_direct: cutoff decay p={p_f} <= p={meta.dimension_p}: "
+            f"spectral_action_direct: cutoff decay p={cert[0]} <= p={meta.dimension_p}: "
             "series diverges")
     base = meta.kernel_dim * f.f0() if meta.kernel_dim else 0.0
     shapes = f.em_shapes(lam) if _on_sphere(tail) and hasattr(f, "em_shapes") else None
-    envelope = None if edge is not None else _envelope_tail(tail, getattr(f, "envelope", None),
-                                                            lam)
+    # the bound holds from x0 on (x = aux): an edge ends the sum there
+    x0 = edge if edge is not None else cert[2] if cert is not None else 0.0
 
     def block_terms(n, v, m):
         x = v / lam
         beyond = np.flatnonzero(x > edge) if edge is not None else ()
-        return (m * f.evaluate(x), x,
-                np.ones(x.size, bool) if shapes or envelope else x >= x0_f,
+        return (m * f.evaluate(x), x, np.ones(x.size, bool) if shapes else x >= x0,
                 int(beyond[0]) if len(beyond) else None)
 
-    # f(x) <= C_f x^{-p_f} from x0_f on (x = aux), and the envelope everywhere;
-    # the smaller bound wins.  An edge ends the sum.
-    power = None if edge is not None else _power_tail(tail, p_f)
-    certificate = None if power is None else lambda c, xp: np.where(
-        c.aux >= x0_f, C_f * lam ** p_f * power(c, xp), math.inf)
-    if envelope is None:
-        counting = certificate
-    elif certificate is None or p_f * math.log(lam) > 709.0:   # Lambda^p past floats
-        counting = envelope
+    if env is not None:
+        counting = _envelope_tail(tail, env, lam)
+    elif cert is not None and (power := _power_tail(tail, cert[0])) is not None:
+        p_f, C_f, _ = cert
+        counting = lambda c, xp: np.where(c.aux >= x0, C_f * lam ** p_f * power(c, xp), math.inf)
     else:
-        counting = lambda c, xp: np.minimum(envelope(c, xp), certificate(c, xp))
+        counting = None
     bound = _estimated(tail, shapes, counting)
     total, terms, tail_bound, converged, tested = _certified_sum(
         spectrum, block_terms, bound, tol, base=base)
@@ -522,7 +519,8 @@ def spectral_action_direct(spectrum: Spectrum, f, lam: float,
 
 def _envelope_tail(tail, env, lam: float):
     """bound(cols, xp) on sum_{m>n} M_m f(mu_m/Lambda) from an envelope
-    f <= C h of f on a polynomial tail model, or None.
+    f <= C h, h(x) = e^{-ax} or e^{-(x/w)^2}, on a polynomial or exponential
+    tail model, or None on any other.
 
     With h decreasing and N(L) <= A (c+L)^P, Stieltjes integration (dropping
     -h(X/Lambda) N(X) <= 0) bounds the tail past X by
@@ -531,8 +529,21 @@ def _envelope_tail(tail, env, lam: float):
     A ((c+X)/X)^P X^{P-Q} (w Lambda)^Q Gamma(Q/2+1, (X/(w Lambda))^2)
     for h = e^{-(x/w)^2}, since (c+u)^P <= ((c+X)/X)^P X^{P-Q} u^Q past X;
     so Gamma is only needed at integer and half-integer a.
+    With mu_{m+1} >= r mu_m and h(r x)/h(x) falling in x, the terms
+    M_m h(mu_m/Lambda) past n fall by at most
+    (n+2)/(n+1) h(r mu_n/Lambda)/h(mu_n/Lambda) each: a geometric bound.
     """
-    if env is None or not isinstance(tail, PolynomialTail):
+    if isinstance(tail, ExponentialTail):
+        # h(mu/Lambda) = e^{-y} and h(r mu/Lambda)/h(mu/Lambda) = e^{-(k-1) y}
+        if env.kind == "exp":
+            t, k = env.a / lam, tail.ratio
+            y = lambda v: t * v
+        else:
+            s, k = env.a * lam, tail.ratio * tail.ratio
+            y = lambda v: (v / s) ** 2
+        return lambda c, xp: env.C * _geometric(
+            c.m * xp.exp(-y(c.v)), (c.n + 2) / (c.n + 1) * xp.exp(-(k - 1.0) * y(c.v)))
+    if not isinstance(tail, PolynomialTail):
         return None
     if env.kind == "exp":
         t = env.a / lam
@@ -540,10 +551,7 @@ def _envelope_tail(tail, env, lam: float):
     A, P, off = tail.coeff, tail.power, max(tail.offset, 0.0)
     Q = float(math.ceil(P))
     s = env.a * lam
-    try:
-        scale = env.C * A * s ** Q
-    except OverflowError:               # (w Lambda)^Q past floats: the power certificate
-        return None
+    scale = env.C * A * s ** Q
     return lambda c, xp: scale * xp.power((off + c.v) / c.v, P) * xp.power(c.v, P - Q) \
         * xp.upper_gamma(Q / 2.0 + 1.0, (c.v / s) ** 2)
 

@@ -363,13 +363,19 @@ def _gauss_tail(coeffs, low: int, t: float, orders, order: int, top: float):
     weight = {r: w for w, r in orders}
     est = [0.0] * (len(q) + order)      # of U^i e^{-tU^2} in the estimate
     integral = {i: c / (2.0 * t ** ((i + 1) / 2.0)) for i, c in enumerate(q) if c}
+    # the coefficient of u^i in Q_r carries t^{(i+r-low)/2} or more: below t = 2^-64
+    # the recurrence runs on q_i / s^{i+1}, s a power of 2 near sqrt(t), so that
+    # they underflow only where the bound does (s = 1 above: the plain recurrence)
+    s = 1.0 if t >= 2.0 ** -64 else 2.0 ** round(math.log2(t) / 2.0)
+    q = [c / s ** (i + 1) for i, c in enumerate(q)]
     for r in range(order):
         if r in weight:
             for i, c in enumerate(q):
-                est[i] += weight[r] * c
-        q = _gauss_step(q, t)
+                est[i] += weight[r] * c * s ** (i + 1)
+        q = _gauss_step(q, t, s)
     # int_U^oo u^i e^{-tu^2} du = Gamma((i+1)/2, tU^2) / (2 t^{(i+1)/2})
-    err = {i: top * abs(c) / (2.0 * t ** ((i + 1) / 2.0)) for i, c in enumerate(q) if c}
+    err = {i: top * abs(c) / (2.0 * (t / (s * s)) ** ((i + 1) / 2.0))
+           for i, c in enumerate(q) if c}
     poly = dict(enumerate(est))
 
     def tail(U, xp):
@@ -377,7 +383,7 @@ def _gauss_tail(coeffs, low: int, t: float, orders, order: int, top: float):
         ey = xp.exp(-y)
         g = _half_ladder(y, ey, xp, set(integral) | set(err))
         return (sum(c * g[i] for i, c in integral.items()) + ey * _laurent(poly, U, xp),
-                sum(c * g[i] for i, c in err.items()))
+                sum((c * g[i] for i, c in err.items()), np.zeros(y.shape)))
     return tail
 
 
@@ -464,13 +470,14 @@ def s4_action(f, lam: float, M_terms: int = 3) -> float:
 # Exact derivatives for the polynomial x Gaussian family
 # ---------------------------------------------------------------------------
 
-def _gauss_step(c: list, a: float) -> list:
-    """Coefficients of P' - 2 a x P from those of P: (P e^{-a x^2})' = (P' - 2 a x P) e^{-a x^2}."""
+def _gauss_step(c: list, a: float, s: float = 1.0) -> list:
+    """Coefficients of P' - 2 a x P from those of P: (P e^{-a x^2})' = (P' - 2 a x P) e^{-a x^2},
+    each coefficient of x^j held as c_j / s^{j+1}."""
     new = [0.0] * (len(c) + 1)
     for j, v in enumerate(c):
         if j:
-            new[j - 1] += v * j
-        new[j + 1] -= 2.0 * a * v
+            new[j - 1] += v * j * s
+        new[j + 1] -= 2.0 * (a / s) * v
     return new
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -155,6 +156,71 @@ def test_readme_calls_load_only_what_their_subcommand_uses(tmp_path, name):
     assert code == 0
     assert "sal.catalog" in names       # sal.cli itself runs as __main__
     assert not names & NOT_LOADED.get(name, set()), names & NOT_LOADED[name]
+
+
+# stdout and exit code of the deterministic README calls, byte for byte
+README_OUTPUTS = {
+    'heat': (0, """\
+t,value,terms,tail_bound,converged
+1.0000000000000001e-01,2.0016663889550099e+01,5,2.2914814317698590e-17,True
+2.0000000000000001e-01,1.0033311132253989e+01,5,6.4388693690813357e-15,True
+3.0000000000000004e-01,6.7165918270201646e+00,5,1.3584831519834137e-13,True
+4.0000000000000002e-01,5.0664895634394762e+00,5,9.9294729483574824e-13,True
+5.0000000000000000e-01,4.0829881650736217e+00,5,4.0601270603682436e-12,True
+5.9999999999999998e-01,3.4327384303217729e+00,7,3.4629065504967392e-12,True
+7.0000000000000007e-01,2.9728677272689641e+00,8,3.0939989054085476e-12,True
+7.9999999999999993e-01,2.6319324418322187e+00,9,1.8799532922639320e-12,True
+9.0000000000000002e-01,2.3702355008100557e+00,9,1.9962975759018596e-12,True
+9.9999999999999989e-01,2.1639534137387000e+00,9,1.8956066018353545e-12,True
+"""),
+    'zeta': (0, """\
+re_s,im_s,re_value,im_value,terms,tail_bound,converged
+3.5000000000000000e+00,0.0000000000000000e+00,5.3659490290037510e+00,0.0000000000000000e+00,9,2.3638109147473446e-12,True
+"""),
+    'action': (0, """\
+lambda,value,terms,tail_bound,converged
+5.0000000000000000e+00,1.0856279836796288e+02,21,3.1446304132738575e-11,True
+1.0000000000000000e+01,8.8179579082549424e+02,29,7.2330311035148618e-10,True
+1.5000000000000000e+01,2.9843691714621627e+03,5,2.1725273117887503e-09,True
+2.0000000000000000e+01,7.0809531343675353e+03,5,2.9148158695344739e-10,True
+"""),
+    'expand': (0, """\
+[
+ {
+  "strip_k": 0,
+  "re_z": "1.5000000000000000e+00",
+  "im_z": "0.0000000000000000e+00",
+  "n": 0,
+  "re_a": "8.8622692545275861e-01",
+  "im_a": "0.0000000000000000e+00"
+ },
+ {
+  "strip_k": 1,
+  "re_z": "5.0000000000000000e-01",
+  "im_z": "0.0000000000000000e+00",
+  "n": 0,
+  "re_a": "-4.4311346272637897e-01",
+  "im_a": "0.0000000000000000e+00"
+ }
+]
+"""),
+    'compare': (0, """\
+lambda,direct,expansion,discrepancy,log_slope,tail_bound,converged
+4.0000000000000000e+00,3.2008725485562479e+00,2.8733939540026654e+00,3.2747859455358252e-01,,2.3615375915981039e-12,True
+1.0000000000000000e+01,4.4896780535032008e+01,4.4896780531291640e+01,3.7403680153147434e-09,1.9958457079396908e+01,3.9920025609288196e-11,True
+1.6000000000000000e+01,1.8389721305616663e+02,1.8389721305617059e+02,-3.9506176108261570e-12,1.4580881795573692e+01,1.5849998310987995e-10,True
+"""),
+    'radius': (0, """\
+T,limsup,kind,window_lo,window_hi
+inf,0.0000000000000000e+00,infinite,19,37
+"""),
+}
+
+
+@pytest.mark.parametrize("name", list(README_OUTPUTS))
+def test_readme_outputs_are_pinned(capsys, name):
+    code, out, err = run_cli(README_CALLS[name].split(), capsys)
+    assert (code, out) == README_OUTPUTS[name]
 
 
 def test_importing_sal_loads_no_submodule():
@@ -356,17 +422,29 @@ def test_non_finite_inputs_are_argument_errors(capsys, args):
     ["compare", "--triple", "s3", "--cutoff", "gauss:1e-300", "--lambda-grid", "4:16:3"],
     ["heat", "--triple", "t3:100", "--t-grid", "0.5:1:2", "--lattice-cut", "1e300"],
     ["heat", "--triple", "podless:1e-100,1", "--t-grid", "0.1:0.1:1"],
+    ["compare", "--triple", "t3", "--cutoff", "gauss", "--lambda-grid", "1e200:1e200:1"],
+    ["compare", "--triple", "s3", "--cutoff", "gauss", "--lambda-grid", "1e200:1e200:1"],
+    ["action", "--triple", "s3", "--cutoff", "gauss:1e300", "--lambda-grid", "5:20:4"],
+    ["action", "--triple", "t3", "--cutoff", "gauss", "--lambda-grid", "1e110:1e110:1"],
+    ["action", "--triple", "s3sq", "--cutoff", "gauss", "--lambda-grid", "1e160:1e160:1"],
 ])
 def test_overflowing_parameters_are_argument_errors(capsys, args):
-    # each overflows (or divides by zero) while building the cut-off or the
-    # spectrum, and the message names the parameter at fault with its value
+    # each row has one parameter past 1e+-100, and something built from it
+    # overflows (or divides by zero) before any value is reported: the
+    # cut-off's data (moments, derivatives at 0 or decay constant), the
+    # spectrum, the triple's radius data (built at resolve time), or a
+    # Lambda-dependent tail bound or expansion.  The message names that
+    # parameter with its value.
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == "" and err.startswith("error:")
-    option = next(o for o in ("--lattice-cut", "--cutoff", "--triple") if o in args)
-    value = args[args.index(option) + 1]
+    option, value = next((o, v) for o, v in zip(args[1::2], args[2::2])
+                         if re.search(r"e[+-]?[1-9]\d\d", v))
+    name = option[2:].replace("-", " ")
     if option == "--lattice-cut":
         value = f"{float(value):g}"
-    assert f"error: {option[2:].replace('-', ' ')} {value} is out of range" in err
+    if option == "--lambda-grid":
+        name, value = "lambda", repr(float(value.split(":")[0]))
+    assert f"error: {name} {value} is out of range" in err
 
 
 @pytest.mark.parametrize("triple", ["podles:1e-200,1", "podlessq:1e-200,1"])

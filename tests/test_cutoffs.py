@@ -81,13 +81,13 @@ def test_product_rules():
     # certificates add: Cl_0^p * Cl_0^r in Cl_0^{p+r}
     p2 = powerlaw_cutoff(1.0, 1.0, 2.0)
     p3 = powerlaw_cutoff(1.0, 1.0, 3.0)
-    assert product(p2, p3).decay_p == 5.0
+    assert product(p2, p3).decay_certificate[0] == 5.0
     # f^n certificate n*r
     f = p2
     fn = f
     for _ in range(2):
         fn = product(fn, f)
-    assert fn.decay_p == 6.0
+    assert fn.decay_certificate[0] == 6.0
     assert abs(fn.evaluate(1.0) - f.evaluate(1.0) ** 3) < 1e-14
 
 
@@ -163,17 +163,16 @@ def test_schwartz_and_sharp():
     g = gaussian_cutoff()
     assert g.is_schwartz_only()
     assert abs(g.f0() - 1.0) < 1e-15
-    p, C, x0 = g.decay_certificate
-    xs = np.linspace(x0, 20, 100)
-    assert np.all(np.exp(-xs ** 2) <= C * xs ** (-p) + 1e-300)
+    assert g.envelope == ("gauss", 1.0, 1.0)
     sharp = IndicatorCutoff()
+    assert sharp.edge == 1.0
     assert sharp.evaluate(0.5) == 1.0 and sharp.evaluate(1.5) == 0.0
 
 
 def test_parse_grammar():
     assert parse_cutoff("exp:2").label == "exp:2"
     assert parse_cutoff("window:0,1").label == "window:0,1"
-    assert parse_cutoff("powerlaw:1,2,3").decay_p == 3.0
+    assert parse_cutoff("powerlaw:1,2,3").decay_certificate[0] == 3.0
     assert parse_cutoff("gauss").is_schwartz_only()
     assert parse_cutoff("nulltaylor").label == "nulltaylor"
     pr = parse_cutoff("product(window:0,1,exp:1)")
@@ -183,6 +182,28 @@ def test_parse_grammar():
     assert abs(nested.evaluate(1.0) - math.exp(-3.0)) < 1e-14
     with pytest.raises(ValueError):
         parse_cutoff("mystery:1")
+
+
+@pytest.mark.parametrize("text", [
+    "exp:1", "window:1,2", "window:0,1", "powerlaw:1,1,5", "gauss", "gauss:0.5", "nulltaylor",
+    "sharp", "product(exp:1,nulltaylor)", "product(powerlaw:1,1,2,powerlaw:1,1,3)",
+    "product(window:0,1,exp:1)", "product(exp:1,powerlaw:1,1,3)", "product(window:0,1,nulltaylor)",
+])
+def test_every_cutoff_reports_exactly_one_tail_certificate(text):
+    f = parse_cutoff(text)
+    reported = [k for k in ("edge", "envelope", "decay_certificate")
+                if getattr(f, k, None) is not None]
+    # a power certificate only where f decays no faster than a power
+    power = text in ("window:0,1", "powerlaw:1,1,5", "nulltaylor",
+                     "product(powerlaw:1,1,2,powerlaw:1,1,3)", "product(window:0,1,nulltaylor)")
+    expected = "edge" if text == "sharp" else "decay_certificate" if power else "envelope"
+    assert reported == [expected]
+
+
+def test_product_without_envelope_adds_decay_powers():
+    assert parse_cutoff("product(window:0,1,nulltaylor)").decay_certificate[0] == 2.25
+    # nulltaylor's |f| <= sum |w_i| (nodes >= 0) gives products with exp an envelope
+    assert parse_cutoff("product(exp:1,nulltaylor)").envelope.a == 1.0
 
 
 @pytest.mark.parametrize("text", ["product(gauss,exp:1)", "product(exp:1,sharp)",

@@ -228,10 +228,21 @@ def test_small_t_heat_and_the_s3_powerlaw_action():
 
 
 def test_s1_exp_action_far_below_x0():
-    # mu_n / Lambda < x0 = 16 for the first 1.6e26 terms: the counting bound
-    # never applies, the heat-shape tail at t = 1e-25 does
+    # mu_n / Lambda < 16 for the first 1.6e26 terms: the envelope's counting
+    # bound cannot stop the sum there, the heat-shape tail at t = 1e-25 does
     rep = spectral_action_direct(_sphere("s1"), exp_cutoff(1.0), 1e25)
     _within(rep, ref_heat("s1", mp.mpf("1e-25")))
+
+
+@pytest.mark.parametrize("name", ["s1", "s2"])
+@pytest.mark.parametrize("lam", [1e34, 1e50])
+def test_gauss_action_where_the_tail_coefficients_underflow(name, lam):
+    # t = Lambda^-2 <= 1e-68, and every coefficient of the remainder's Q_10
+    # carries t^5 or more.  The action is sqrt(pi) Lambda on S^1 and
+    # 2 Lambda^2 - 1/3 on S^2: the Poisson corrections vanish in floats
+    rep = spectral_action_direct(_sphere(name), gaussian_cutoff(), lam)
+    exact = mp.sqrt(mp.pi) * lam if name == "s1" else 2 * mp.mpf(lam) ** 2 - mp.mpf(1) / 3
+    _within(rep, exact, terms=5)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sal.cutoffs import (CutoffFunction, GammaDensity, exp_cutoff, parse_cutoff)
 from sal.series import spectral_action_direct
-from sal.spectra import nctorus_spectrum, sphere_spectrum, torus_spectrum
+from sal.spectra import (PodlesParams, nctorus_spectrum, podles_spectrum, sphere_spectrum,
+                         torus_spectrum)
 from sal.summation import lattice_sq_counts
 
 mp.mp.dps = 30
@@ -41,7 +44,7 @@ def test_envelope_holds(f):
 
 
 def test_shifted_gamma_density_envelope():
-    f = CutoffFunction((GammaDensity(r=5.0, rate=1.0, weight=2.0, shift=0.8),), 5.0, 2.0, 1.0)
+    f = CutoffFunction((GammaDensity(r=5.0, rate=1.0, weight=2.0, shift=0.8),))
     assert f.envelope == ("exp", 2.0, 0.8)
     x = np.logspace(-6.0, 3.0, 2001)
     assert np.all(f.evaluate(x) <= 2.0 * np.exp(-0.8 * x) * (1.0 + 1e-14))
@@ -115,3 +118,93 @@ def test_lattice_action_within_envelope_bound(cutoff, triple, lam):
         rep = spectral_action_direct(nctorus_spectrum(2, radius_cut=450.0), f, lam)
         exact = _mp_lattice(_mp_cutoff(cutoff), lam, 2, 1.0, 2, x_max)
     _within(rep, exact)
+
+
+# ---------------------------------------------------------------------------
+# Property: the envelope route on exponential and polynomial tail models
+# ---------------------------------------------------------------------------
+
+# each cut-off as (text, f and f(0) in mpmath, decay rate a, Gaussian or not):
+# f(x) <= C e^{-ax}, or C e^{-(ax)^2}
+def _exp_text(a):
+    return f"exp:{a!r}", lambda x: mp.exp(-a * x), mp.mpf(1), a, False
+
+
+def _window_text(a, width):
+    b = a + width
+    return (f"window:{a!r},{b!r}", lambda x: (mp.exp(-a * x) - mp.exp(-b * x)) / x,
+            mp.mpf(b) - a, a, False)
+
+
+def _product(left, right):
+    (lt, lf, l0, la, _), (rt, rf, r0, ra, _) = left, right
+    return f"product({lt},{rt})", lambda x: lf(x) * rf(x), l0 * r0, la + ra, False
+
+
+def _with_powerlaw(exp, alpha, beta, r):
+    et, ef, e0, ea, _ = exp
+    return (f"product({et},powerlaw:{alpha!r},{beta!r},{r!r})",
+            lambda x: ef(x) * (alpha * x + beta) ** -r, e0 * mp.mpf(beta) ** -r, ea, False)
+
+
+def _gauss_text(w):
+    return f"gauss:{w!r}", lambda x: mp.exp(-(x / w) ** 2), mp.mpf(1), 1.0 / w, True
+
+
+rates = st.floats(0.2, 3.0)
+exps = st.builds(_exp_text, rates)
+simple = st.one_of(exps, st.builds(_window_text, rates, st.floats(0.1, 3.0)))
+ENVELOPE_CUTOFFS = st.one_of(
+    simple, st.builds(_product, simple, simple),
+    st.builds(_with_powerlaw, exps, st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.5, 4.0)),
+    st.builds(_gauss_text, st.floats(0.3, 3.0)))
+# Podles spheres (exponential tail model) and their squares, and three
+# spectra of polynomial growth
+TRIPLES = st.one_of(
+    st.tuples(st.sampled_from(["podles", "podless", "podlessq", "podlesq"]),
+              st.floats(0.1, 0.95), st.floats(0.5, 2.0)),
+    st.tuples(st.sampled_from(["s1", "s3", "nct2"]), st.just(0.0), st.just(0.0)))
+# the largest mu_n/Lambda at which the reference sums run: f < 1e-45 f(0) past it
+REACH = {"s1": 6000.0, "s3": 6000.0, "nct2": 150.0}
+
+
+def _mp_action(spectrum, f, f0, lam: float):
+    """kernel f(0) + sum M_n f(mu_n/Lambda) over the spectrum in 40 digits, up
+    to the first falling term below 1e-45 of the sum: the terms fall
+    geometrically from there, or the spectrum ends."""
+    lam, total, last = mp.mpf(lam), spectrum.meta.kernel_dim * f0, mp.inf
+    for v, m in spectrum.blocks():
+        for mu, mult in zip(v.tolist(), m.tolist()):
+            term = mult * f(mp.mpf(mu) / lam)
+            total += term
+            if term < last and term < mp.mpf(10) ** -45 * total:
+                return total
+            last = term
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(TRIPLES, ENVELOPE_CUTOFFS, st.floats(0.0, 1.0))
+def test_envelope_route_within_bound(triple, cutoff, u):
+    """Lambda in [0.5, 1e3], log-uniform; on polynomial growth only up to where
+    the reference sum stays within REACH (mu_n up to 110/a Lambda)."""
+    family, q, w = triple
+    text, f_mp, f0, rate, gauss = cutoff
+    x_stop = 11.0 / rate if gauss else 110.0 / rate
+    lam_max = 1e3 if family.startswith("podles") else max(0.5, min(1e3, REACH[family] / x_stop))
+    lam = 0.5 * (lam_max / 0.5) ** u
+    if family.startswith("podles"):
+        spec = podles_spectrum(PodlesParams(q, w), simplified=family.startswith("podless"))
+        spec = spec.squared() if family.endswith("q") else spec
+    elif family == "nct2":
+        spec = nctorus_spectrum(2, radius_cut=x_stop * lam)
+    else:
+        spec = sphere_spectrum(1, "trivial") if family == "s1" else sphere_spectrum(3)
+    f = parse_cutoff(text)
+    assert f.envelope is not None
+    rep = spectral_action_direct(spec, f, lam)
+    if family.startswith("podles"):
+        assert rep.converged and rep.certified, rep
+    if rep.converged and rep.certified:
+        exact = _mp_action(spec, f_mp, f0, lam)
+        assert abs(mp.mpf(rep.value) - exact) <= rep.tail_bound + 1e-13 * (abs(exact) + 1), rep

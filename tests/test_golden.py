@@ -19,11 +19,13 @@ against mpmath within its bound.  A sphere row with an `.em` twin was recorded
 before the spheres declared exact data: it runs on the sphere's `counted` copy
 and pins the counting-bound kernel on sums of up to 2,000,002 terms.
 
-Where a cut-off reports an envelope (f <= C e^{-ax}: `exp`, `window`, their
-products; f <= e^{-(x/w)^2}: `gauss`), the counting bound is the smaller of
-its envelope bound and its power certificate.  Those rows (`window:1,2`, and
-`gauss`, `exp:1` and `product(exp:1,exp:1)` on the counted s3, and `gauss` on
-nct2) were each checked against a 40-digit mpmath value within their bound.
+Every cut-off has one tail certificate.  Where it is an envelope (f <= C e^{-ax}:
+`exp`, `window`, their products; f <= e^{-(x/w)^2}: `gauss`), the counting
+bound is the envelope's: on polynomial tail models a heat-trace or
+incomplete-gamma bound, on exponential ones (Podles) a geometric bound.
+Those rows (`window:1,2`, and `gauss`, `exp:1` and `product(exp:1,exp:1)` on
+the counted s3, `gauss` on nct2, and `exp:1` and `gauss` on podless) were each
+checked against a 40-digit mpmath value within their bound.
 """
 
 import math
@@ -136,8 +138,8 @@ ACTION = [   # spectrum, cut-off, Lambda, terms_used, value, tail_bound, converg
     ('s3', 'sharp', 40.5, 41, 45920.0, 0.0, True, True),
     ('s1', 'sharp', 5.5, 6, 11.0, 0.0, True, True),
     ('s1', 'powerlaw:1,1,3', 3.0, 2000002, 3.1610727706113417, 2.0249969625030375e-11, False, True),
-    ('podless', 'exp:1', 10.0, 8, 24.88536657202477, 2.2011961133708257e-11, True, True),
-    ('podless', 'gauss', 100.0, 11, 94.15110676219163, 3.262831439922861e-14, True, True),
+    ('podless', 'exp:1', 10.0, 8, 24.88536657202477, 5.399881185321907e-14, True, True),
+    ('podless', 'gauss', 100.0, 9, 94.15110676219163, 2.303934798619744e-19, True, True),
     ('podless', 'nulltaylor', 10.0, 40, 31.647241987522133, 2.646724132775004e-11, True, True),
     ('nct2', 'gauss', 20.0, 1811, 2513.2738341494364, 0.005102715253318484, False, True),
     ('jsonl', 'exp:1', 3.0, 300, 35.66851038502603, math.inf, False, False),

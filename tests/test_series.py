@@ -215,9 +215,9 @@ def test_action_refuses_divergent_cutoffs():
     pp = PodlesParams(0.5, 1.0)
     assert spectral_action_direct(podles_spectrum(pp, simplified=True),
                                   null_taylor_cutoff(), 10.0).converged
-    # decay p = inf is a promise only a sharp edge keeps
-    flat = CutoffFunction((Atom(1.0, 1.0),), math.inf, 1.0, 1.0)
-    with pytest.raises(ValueError):
+    # f = 1 (an atom at 0) reports no edge, no decaying envelope and no decay certificate
+    flat = CutoffFunction((Atom(0.0, 1.0),))
+    with pytest.raises(TypeError, match="exactly one tail certificate"):
         spectral_action_direct(sphere_spectrum(3), flat, 10.0)
 
 
@@ -342,8 +342,8 @@ def test_mellin_podles(s):
 
 
 def test_action_stops_at_term_cap_below_x0():
-    # mu_n / Lambda stays far below the cut-off's x0 = 16: only its envelope
-    # f(x) <= e^{-x} bounds the tail there, and the sum runs to the term cap
+    # mu_n / Lambda stays below 1e-18: the envelope f(x) <= e^{-x} bounds the
+    # tail there by about the whole series, and the sum runs to the term cap
     lam = 1e25
     rep = spectral_action_direct(sphere_spectrum(1, "trivial"), window_cutoff(1.0, 2.0), lam)
     assert rep.terms_used == 2_000_002
