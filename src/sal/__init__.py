@@ -26,8 +26,7 @@ _EXPORTS = {
               "mckean_singer perturbation_polynomials topological_action validate",
     "oracles": "catalog_zeta epstein_residue podles_heat_exact s1_heat_exact",
     "series": "DivergentSeriesError TruncationReport averaged_counting counting "
-              "dixmier_estimate heat_trace mellin_check partial_trace "
-              "spectral_action_direct zeta_direct",
+              "heat_trace mellin_check partial_trace spectral_action_direct zeta_direct",
     "special": "bernoulli_number epstein_Zd gamma gamma_laurent hurwitz_zeta jacobi_theta3 "
                "q_number riemann_zeta",
     "spectra": "PodlesParams Spectrum SpectrumEntry SpectrumMeta load_spectrum_jsonl "

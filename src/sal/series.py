@@ -1,9 +1,9 @@
 """Certified direct summation of general Dirichlet series.
 
-Heat traces, zeta values in the convergence half-plane, spectral actions,
-counting functions and partial/Dixmier traces, all by direct summation over
-a `Spectrum` with an explicit truncation certificate attached to every
-result (`TruncationReport`).
+Heat traces, zeta values in the convergence half-plane, spectral actions
+and counting functions, all by direct summation over a `Spectrum` with an
+explicit truncation certificate attached to every result
+(`TruncationReport`), and partial traces of a list of (value, multiplicity).
 
 Summation is deterministic: one kernel walks the spectrum's blocks in
 ascending singular value order, and the terms are folded through a fixed
@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .special import gamma, riemann_zeta, upper_gamma
 from .spectra import ExponentialTail, LogSquareTail, PolynomialTail, SphereTail, Spectrum
-from .summation import EmShape, em_tail, upper_gamma_array
+from .summation import EmShape, _gauss_legendre, em_tail, upper_gamma_array
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +53,6 @@ __all__ = [
     "counting",
     "averaged_counting",
     "partial_trace",
-    "dixmier_estimate",
     "mellin_check",
 ]
 
@@ -585,7 +584,7 @@ def averaged_counting(coeffs: Iterable[float], lam: float, kernel_dim: int = 0) 
 
 
 # ---------------------------------------------------------------------------
-# Partial trace and Dixmier estimate
+# Partial trace
 # ---------------------------------------------------------------------------
 
 def partial_trace(pairs: Iterable[tuple[float, int]], level: float) -> float:
@@ -613,30 +612,6 @@ def partial_trace(pairs: Iterable[tuple[float, int]], level: float) -> float:
     return acc
 
 
-def dixmier_estimate(spectrum: Spectrum, exponent: float, N: int) -> float:
-    """Dixmier-trace estimate for T = |D|^{-exponent}: Tr_N(T)/log N with a
-    two-point Richardson extrapolation over N and N/2 in h = 1/log N."""
-    if N < 8:
-        raise ValueError("dixmier_estimate: need N >= 8")
-
-    def tr_over_log(cut: int) -> float:
-        acc, count = 0.0, 0
-        for v, m in spectrum.blocks():
-            w = v ** (-exponent)
-            reached = count + np.cumsum(m)
-            k = int(np.searchsorted(reached, cut))      # first entry reaching cut
-            if k < v.size:
-                before = count if k == 0 else int(reached[k - 1])
-                return float(acc + np.sum(m[:k] * w[:k]) + (cut - before) * w[k]) / math.log(cut)
-            acc += float(np.sum(m * w))
-            count = int(reached[-1])
-        return acc / math.log(cut)
-
-    r1, r2 = tr_over_log(N), tr_over_log(N // 2)
-    h1, h2 = 1.0 / math.log(N), 1.0 / math.log(N // 2)
-    return (r1 * h2 - r2 * h1) / (h2 - h1)
-
-
 # ---------------------------------------------------------------------------
 # Mellin identity check
 # ---------------------------------------------------------------------------
@@ -645,44 +620,26 @@ def mellin_check(spectrum: Spectrum, s: complex) -> float:
     """Relative residual of  int_0^oo t^{s-1} h0(t) dt = Gamma(s) zeta(s)
 
     with the kernel-free heat trace h0.  The integral is split at t = 1 with
-    a log substitution on (0, 1); both sides use independent code paths.
+    a log substitution on (0, 1), each part by composite Gauss--Legendre;
+    both sides use independent code paths.
     """
     s = complex(s)
     meta = spectrum.meta
     if s.real <= meta.dimension_p:
         raise DivergentSeriesError("mellin_check: need Re(s) > p")
 
-    if spectrum.heat0_closed is not None:
-        h0 = spectrum.heat0_closed
-    else:
+    h0 = spectrum.heat0_closed
+    if h0 is None:
         def h0(t: float) -> float:
             return float(heat_trace(spectrum, t, tol=1e-13,
                                     include_kernel=False).value)
 
-    # lower part: t = e^{-v}
+    # (0, 1] as t = e^{-v}, v in [0, V]; then [1, T]
     r = meta.dimension_p + 0.25 * (s.real - meta.dimension_p)
-    amp = h0(1.0) + 1.0
-    V = (40.0 + math.log(amp + 1.0)) / (s.real - r)
-
-    def low_integrand(v: float, part: int) -> float:
-        val = h0(math.exp(-v)) * cmath.exp(-s * v)
-        return val.real if part == 0 else val.imag
-
-    mu0 = next(iter(spectrum.entries())).value
-    T = 1.0 + 45.0 / mu0
-
-    def high_integrand(t: float, part: int) -> float:
-        val = h0(t) * cmath.exp((s - 1.0) * math.log(t))
-        return val.real if part == 0 else val.imag
-
-    from scipy.integrate import quad
-    total = 0.0 + 0.0j
-    for part in (0, 1):
-        lo, _ = quad(low_integrand, 0.0, V, args=(part,), limit=400,
-                     epsabs=1e-13, epsrel=1e-11)
-        hi, _ = quad(high_integrand, 1.0, T, args=(part,), limit=400,
-                     epsabs=1e-13, epsrel=1e-11)
-        total += complex(lo + hi) * (1.0 if part == 0 else 1.0j)
+    V = (40.0 + math.log(h0(1.0) + 2.0)) / (s.real - r)
+    T = 1.0 + 45.0 / next(iter(spectrum.entries())).value
+    total = (_gauss_legendre(lambda v: h0(math.exp(-v)) * cmath.exp(-s * v), 0.0, V)
+             + _gauss_legendre(lambda t: h0(t) * cmath.exp((s - 1.0) * math.log(t)), 1.0, T))
 
     rep = zeta_direct(spectrum, s, tol=1e-13, include_kernel=False)
     if not rep.converged:

@@ -6,7 +6,10 @@ g(x) = e^{-t|x|} it carries the Bernoulli series t/6 - ...
 
 Both Euler--Maclaurin routines (`euler_maclaurin` over [0, N], `em_tail`
 over [U, oo)) bound the remainder after the B_m term by |B_m|/m! times the
-integral of |g^(m)|: |B~_m(x)| <= |B_m| for even m (DLMF 24.9.1).
+integral of |g^(m)|: |B~_m(x)| <= |B_m| for even m (DLMF 24.9.1).  Over
+[0, N] that integral is exact from g^(m-1): the sum of |g^(m-1)(b) - g^(m-1)(a)|
+over the pieces where g^(m) keeps its sign, found on a fixed grid, provided
+g^(m) changes sign at most once per grid cell.
 
 The closed-form actions:
 
@@ -31,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .special import (_E1_SERIES_TO, _e1_series, _em_coeffs, bernoulli_number,
-                      gamma)
+                      upper_gamma)
 
 __all__ = [
     "EmShape",
@@ -56,11 +59,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def upper_gamma_array(a: float, x: np.ndarray) -> np.ndarray:
-    """`special.upper_gamma` over an array x > 0 for real a >= 0, to about 1e-14:
-    the engines screen whole blocks of tail bounds with it.  At a positive
+    """`special.upper_gamma` over an array x > 0 for real a >= 0: the engines
+    screen whole blocks of tail bounds with it.  To about 1e-14, at a positive
     integer it is (a-1)! e^{-x} sum_{k<a} x^k/k!; at a half-integer, sqrt(pi)
     erfc(sqrt(x)) climbed up from a = 1/2; at a = 0, the E_1 series up to
-    x = 2 and the continued fraction beyond; elsewhere scipy's `gammaincc`."""
+    x = 2 and the continued fraction beyond.  At any other a (no engine asks
+    for one) it maps the scalar function over x: within 1e-13 relative of
+    mpmath for a in [0.01, 7.25] and x in [1e-3, 700]."""
     if a < 0.0:
         raise ValueError("upper_gamma_array: need a real a >= 0")
     if a == 0.0:
@@ -83,8 +88,7 @@ def upper_gamma_array(a: float, x: np.ndarray) -> np.ndarray:
                 # Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}, x^{m+1/2} taken as x^m sqrt(x)
                 val = (m + 0.5) * val + np.where(ex > 0.0, x ** m * root * ex, 0.0)
             return val
-    from scipy.special import gammaincc
-    return gamma(a).real * gammaincc(a, x)
+    return np.array([upper_gamma(a, v).real for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _e1_array(x: np.ndarray) -> np.ndarray:
@@ -211,6 +215,9 @@ def poisson_compare(g: RadialSummand, t: float, m: int,
 # Euler--Maclaurin
 # ---------------------------------------------------------------------------
 
+_SIGN_CELLS = 256
+
+
 def euler_maclaurin(g: Callable[[float], float], N: int, m: int,
                     derivs: Callable[[int], Callable[[float], float]] | None = None,
                     integral: float | None = None) -> tuple[float, float]:
@@ -221,15 +228,17 @@ def euler_maclaurin(g: Callable[[float], float], N: int, m: int,
     with the remainder bound |R_m| <= |B_m|/m! int_0^N |g^(m)|, since the
     periodic Bernoulli function obeys |B~_m| <= |B_m| for even m (DLMF
     24.9.1).  `derivs(j)` is the exact j-th derivative of g, which the
-    remainder bound needs.
+    remainder bound needs.  `integral` defaults to int_0^N g by Gauss--Legendre.
+    int_0^N |g^(m)| comes from g^(m-1) (module docstring) on the pieces where
+    g^(m) keeps its sign, found on `_SIGN_CELLS` equal cells of [0, N]: the
+    bound holds if g^(m) changes sign at most once in each cell.
     """
     if m < 2 or m % 2 != 0:
         raise ValueError("euler_maclaurin: m must be even and >= 2")
     if derivs is None:
         raise ValueError("euler_maclaurin: need the exact derivatives derivs")
-    from scipy.integrate import quad
     if integral is None:
-        integral, _ = quad(g, 0.0, N, limit=400, epsabs=1e-13, epsrel=1e-12)
+        integral = _gauss_legendre(g, 0.0, float(N)).real
     est = integral + 0.5 * (g(0.0) + g(float(N)))
     for j in range(2, m + 1):
         bj = float(bernoulli_number(j))
@@ -237,10 +246,44 @@ def euler_maclaurin(g: Callable[[float], float], N: int, m: int,
             continue
         dj = derivs(j - 1)
         est += bj / math.factorial(j) * (dj(float(N)) - dj(0.0))
-    dm = derivs(m)
-    absint, _ = quad(lambda x: abs(dm(x)), 0.0, N, limit=400,
-                     epsabs=1e-12, epsrel=1e-9)
+    dm, prev = derivs(m), derivs(m - 1)
+    grid = np.linspace(0.0, float(N), _SIGN_CELLS + 1).tolist()
+    pos = [dm(x) > 0.0 for x in grid]
+    ends = [0.0] + [_sign_change(dm, grid[i], grid[i + 1], pos[i])
+                    for i in range(_SIGN_CELLS) if pos[i] != pos[i + 1]] + [float(N)]
+    at = [prev(x) for x in ends]
+    absint = sum(abs(b - a) for a, b in zip(at, at[1:]))
     return est, abs(float(bernoulli_number(m))) / math.factorial(m) * absint
+
+
+def _sign_change(fn, lo: float, hi: float, pos: bool) -> float:
+    """The point of [lo, hi] where fn > 0 turns false (pos) or true (not pos), by bisection."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if (fn(mid) > 0.0) == pos:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+def _gauss_legendre(fn: Callable[[float], complex], a: float, b: float) -> complex:
+    """int_a^b fn (real or complex scalar fn) by composite 20-node Gauss--Legendre
+    on 1, 2, 4, ..., 1024 equal panels, until two levels agree to 1e-12 times
+    int_a^b |fn| (ArithmeticError if none do); the terms are summed exactly."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    old = None
+    for k in range(11):
+        edges = np.linspace(a, b, 2 ** k + 1)
+        half = 0.5 * np.diff(edges)
+        nodes = (edges[:-1, None] + half[:, None] * (x + 1.0)).ravel()
+        terms = (half[:, None] * w).ravel() * np.array([fn(t) for t in nodes.tolist()])
+        new = complex(math.fsum(terms.real.tolist()), math.fsum(np.imag(terms).tolist()))
+        if old is not None and abs(new - old) <= 1e-12 * np.abs(terms).sum():
+            return new
+        old = new
+    raise ArithmeticError(f"Gauss-Legendre on [{a:g}, {b:g}]: no two panel levels agree")
 
 
 def _falling(e, r: int):

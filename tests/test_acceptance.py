@@ -12,12 +12,12 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from sal.asymptotics import (convergence_radius, evaluate_expansion,
-                             heat_expansion_from_poles, optimal_truncation)
+                             heat_expansion_from_poles, ncint, optimal_truncation)
 from sal.catalog import default_scale
 from sal.cutoffs import gaussian_cutoff, parse_cutoff, window_cutoff, product
 from sal.finite import (FiniteTriple, GaugePotential,
@@ -30,7 +30,7 @@ from sal.oracles import (catalog_zeta, podles_A_residue,
                          podles_A_residue_reference, podles_heat_exact,
                          podles_radius_data, s1_heat_exact, s1_laurent,
                          s1_radius_data, s2_radius_data)
-from sal.series import (dixmier_estimate, heat_trace, mellin_check,
+from sal.series import (heat_trace, mellin_check,
                         spectral_action_direct, zeta_direct)
 from sal.special import (bernoulli_number, epstein_Zd, gamma_laurent,
                          zeta_nonpositive_int_rational)
@@ -73,8 +73,8 @@ def test_criterion_2_s3_heat_action():
     f = gaussian_cutoff()
     lam = 10.0
     act = spectral_action_direct(sphere_spectrum(3), f, lam, tol=1e-13).value
-    act_ref = lam ** 3 * 2.0 * quad(lambda x: x * x * math.exp(-x * x), 0, np.inf)[0] \
-        - lam / 4.0 * 2.0 * quad(lambda x: math.exp(-x * x), 0, np.inf)[0]
+    act_ref = lam ** 3 * 2.0 * float(mp.quad(lambda x: x * x * mp.exp(-x * x), [0, mp.inf])) \
+        - lam / 4.0 * 2.0 * float(mp.quad(lambda x: mp.exp(-x * x), [0, mp.inf]))
     assert abs(act - act_ref) / act_ref < 1e-8
     _report(2, f"S^3 heat rel err {abs(direct - ref) / ref:.1e} < 1e-10; "
                f"action rel err {abs(act - act_ref) / act_ref:.1e} < 1e-8")
@@ -152,7 +152,7 @@ def test_criterion_5_nc_torus():
     lam2 = 30.0
     direct2 = spectral_action_direct(nctorus_spectrum(2, radius_cut=150.0),
                                      f2, lam2, tol=1e-6).value
-    mom2 = quad(lambda x: x * float(f2.evaluate(x)), 0, 60.0, limit=400)[0]
+    mom2 = float(mp.quad(lambda x: x * float(f2.evaluate(float(x))), [0, 60]))
     lead2 = 4.0 * math.pi * mom2 * lam2 ** 2
     rel2 = abs(direct2 - lead2) / lead2
     assert rel2 < 1e-3
@@ -162,7 +162,7 @@ def test_criterion_5_nc_torus():
     lam4 = 12.0
     direct4 = spectral_action_direct(nctorus_spectrum(4, radius_cut=64.0),
                                      f4, lam4, tol=1e-6).value
-    mom4 = quad(lambda x: x ** 3 * float(f4.evaluate(x)), 0, 60.0, limit=400)[0]
+    mom4 = float(mp.quad(lambda x: x ** 3 * float(f4.evaluate(float(x))), [0, 60]))
     lead4 = 8.0 * math.pi ** 2 * mom4 * lam4 ** 4
     rel4 = abs(direct4 - lead4) / lead4
     assert rel4 < 1e-3
@@ -324,10 +324,9 @@ def test_criterion_9_finite_triples():
 
 
 def test_criterion_10_dixmier():
-    s2 = sphere_spectrum(2)
-    est = dixmier_estimate(s2, 2.0, 10 ** 5)
-    assert abs(est - 2.0) <= 0.05 * 2.0
-    tc = dixmier_estimate(s2, 4.0, 10 ** 5)
-    assert abs(tc) < 1e-3
-    _report(10, f"S^2 |D|^-2 Dixmier estimate {est:.4f} within 5% of 2; "
-                f"trace-class estimate {tc:.1e} < 1e-3")
+    # Tr_w |D|^{-p} = Res_{s=p} zeta_D(s) / p, read off the S^2 pole data
+    poles = catalog_zeta("s2").poles()
+    tr = {p: sum(ncint(d, 1) for d in poles if d.z == p) / p for p in (2.0, 4.0)}
+    assert tr == {2.0: 2.0, 4.0: 0.0}
+    _report(10, "S^2 Dixmier trace of |D|^-2 = Res zeta(2)/2 = 2 exactly; "
+                "|D|^-4 (no pole at 4) gives 0")

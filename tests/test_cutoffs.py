@@ -3,7 +3,6 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from sal.cutoffs import (CutoffFunction, IndicatorCutoff, SchwartzCutoff,
                          exp_cutoff, gaussian_cutoff, null_taylor_cutoff,
@@ -57,7 +56,7 @@ def test_f_moments():
     # f = (x+1)^{-3}: f_{1,0} = int f dx / Gamma(1) = 1/2 = Gamma(2)/Gamma(3)
     p = powerlaw_cutoff(1.0, 1.0, 3.0)
     measure_side = p.f_moment(1.0, 0)
-    quad_side, _ = quad(lambda x: float(p.evaluate(x)), 0, np.inf)
+    quad_side = float(mp.quad(lambda x: float(p.evaluate(float(x))), [0, mp.inf]))
     assert abs(measure_side - 0.5) < 1e-12
     assert abs(quad_side / abs(gamma(1.0)) - 0.5) < 1e-9
 
@@ -67,7 +66,7 @@ def test_f_moment_quadrature_cross_check():
     f = powerlaw_cutoff(1.0, 2.0, 3.0)
     for z in (0.8, 1.7):
         lhs = f.f_moment(z, 0)
-        rhs, _ = quad(lambda x: x ** (z - 1.0) * float(f.evaluate(x)), 0, np.inf)
+        rhs = float(mp.quad(lambda x: x ** (z - 1.0) * float(f.evaluate(float(x))), [0, mp.inf]))
         rhs /= gamma(z).real
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 

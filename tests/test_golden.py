@@ -10,14 +10,14 @@ tail model is covered: polynomial (spheres, lattices, squared), exponential
 
 The sphere keys `s1`, `s1nt`, `s2`, `s3`, `s2sq` and `s3sq` are the catalog
 spheres, which declare exact data.  Off the Euler--Maclaurin route (window,
-sharp, and `counting` and `dixmier_estimate`) they keep their counting-bound
-reports bit for bit.  On that route (heat on |D| and D^2, zeta on |D| and D^2,
-and `exp`, products of `exp`, `powerlaw` and `gauss` actions) a catalog
-sphere's report is its `.em` row: the value is the head sum plus the tail
-estimate, `terms` counts the head, and `test_em_tails` checks every `.em` row
-against mpmath within its bound.  A sphere row with an `.em` twin was recorded
-before the spheres declared exact data: it runs on the sphere's `counted` copy
-and pins the counting-bound kernel on sums of up to 2,000,002 terms.
+sharp, and `counting`) they keep their counting-bound reports bit for bit.
+On that route (heat on |D| and D^2, zeta on |D| and D^2, and `exp`, products
+of `exp`, `powerlaw` and `gauss` actions) a catalog sphere's report is its
+`.em` row: the value is the head sum plus the tail estimate, `terms` counts
+the head, and `test_em_tails` checks every `.em` row against mpmath within
+its bound.  A sphere row with an `.em` twin was recorded before the spheres
+declared exact data: it runs on the sphere's `counted` copy and pins the
+counting-bound kernel on sums of up to 2,000,002 terms.
 
 Every cut-off has one tail certificate.  Where it is an envelope (f <= C e^{-ax}:
 `exp`, `window`, their products; f <= e^{-(x/w)^2}: `gauss`), the counting
@@ -33,7 +33,7 @@ import math
 import pytest
 
 from sal.cutoffs import parse_cutoff
-from sal.series import counting, dixmier_estimate, heat_trace, spectral_action_direct, zeta_direct
+from sal.series import counting, heat_trace, spectral_action_direct, zeta_direct
 from sal.spectra import (PodlesParams, PolynomialTail, Spectrum, SpectrumMeta,
                          load_spectrum_jsonl, nctorus_spectrum, podles_spectrum,
                          save_spectrum_jsonl, sphere_spectrum, torus_spectrum)
@@ -193,8 +193,6 @@ def test_spectral_action_pinned(spectra, key, cutoff, lam, terms, value, tail_bo
     assert repr(rep.value) == repr(value)
 
 
-def test_counting_and_dixmier_pinned(spectra):
+def test_counting_pinned(spectra):
     assert [counting(spectra[k], lam) for k, lam in (("s1", 5.5), ("s3", 20.0), ("nct2", 10.0))] \
         == [11, 5320, 634]
-    assert math.isclose(dixmier_estimate(spectra["s2"], 2.0, 10_000), 2.0001929120334703,
-                        rel_tol=1e-12)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sal.asymptotics import ncint
 from sal.cutoffs import (Atom, CutoffFunction, IndicatorCutoff, exp_cutoff,
                          gaussian_cutoff, null_taylor_cutoff, window_cutoff)
+from sal.oracles import catalog_zeta
 from sal.series import (DivergentSeriesError, PairwiseSummer, averaged_counting,
-                        counting, dixmier_estimate, heat_trace, mellin_check,
+                        counting, heat_trace, mellin_check,
                         partial_trace, spectral_action_direct, zeta_direct)
 from sal.special import riemann_zeta
 from sal.spectra import (LogSquareTail, PodlesParams, Spectrum, SpectrumMeta,
@@ -247,7 +249,7 @@ def test_counting_vs_averaged_bound():
 
 
 # ---------------------------------------------------------------------------
-# partial trace / Dixmier
+# partial trace / Dixmier trace from the residue
 # ---------------------------------------------------------------------------
 
 def test_partial_trace_interpolation():
@@ -258,17 +260,19 @@ def test_partial_trace_interpolation():
     assert partial_trace(pairs, 100.0) == 10.0  # trace-class saturation
 
 
+def _dixmier(triple: str, p: float) -> complex:
+    """Tr_w |D|^{-p} = Res_{s=p} zeta_D(s) / p from the catalog's pole data."""
+    return sum(ncint(d, 1) for d in catalog_zeta(triple).poles() if d.z == p) / p
+
+
 def test_dixmier_s2():
-    # S^2, T = |D|^{-2}: limit 2 (= (1/2) * ncint |D|^{-2} = 4/2)
-    s2 = sphere_spectrum(2)
-    est = dixmier_estimate(s2, 2.0, 10 ** 5)
-    assert abs(est - 2.0) < 0.05 * 2.0
+    # S^2, T = |D|^{-2}: (1/2) * ncint |D|^{-2} = 4/2, exactly
+    assert _dixmier("s2", 2.0) == 2.0
 
 
 def test_dixmier_trace_class():
-    s2 = sphere_spectrum(2)
-    est = dixmier_estimate(s2, 4.0, 10 ** 5)
-    assert abs(est) < 1e-3
+    # zeta_D has no pole at s = 4: |D|^{-4} is trace class, its Dixmier trace 0
+    assert _dixmier("s2", 4.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

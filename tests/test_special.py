@@ -287,9 +287,10 @@ def test_upper_gamma_real_grid_exactly_real():
             assert abs(val.real - float(mp.gammainc(a, x))) <= 1e-12 * val.real
 
 
-@pytest.mark.parametrize("a", [1, 2, 3, 4, 1.5, 2.5, 3.5])
+@pytest.mark.parametrize("a", [1, 2, 3, 4, 1.5, 2.5, 3.5, 0.3, 1.7, 7.25])
 def test_upper_gamma_array_closed_forms_vs_mpmath(a):
-    # integer a: a finite sum times e^{-y}; half-integer a: erfc climbed up
+    # integer a: a finite sum times e^{-y}; half-integer a: erfc climbed up;
+    # any other a: the scalar upper_gamma point by point
     y = np.logspace(-3.0, math.log10(700.0), 241)
     ref = np.array([float(mp.gammainc(a, v)) for v in y.tolist()])
     assert np.all(np.abs(upper_gamma_array(a, y) - ref) <= 1e-13 * ref)

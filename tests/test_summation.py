@@ -90,6 +90,30 @@ def test_euler_maclaurin_s4_pipeline_input():
     assert abs(est - direct) <= bound
 
 
+@pytest.mark.parametrize("lam, N", [(6.0, 120), (10.0, 200)])
+def test_euler_maclaurin_bound_across_sign_changes(lam, N):
+    # g^(10) = Q_10 e^{-a x^2} of g = (x^3 - x) e^{-a x^2} changes sign six times in
+    # [0, N]: the bound is |B_10|/10! int_0^N |g^(10)|, by mpmath between the zeros of Q_10
+    coeffs, a, m = [0.0, -1.0, 0.0, 1.0], 1.0 / lam ** 2, 10
+    derivs = lambda j: poly_gauss_derivative(coeffs, a, j)
+    est, bound = euler_maclaurin(derivs(0), N, m, derivs=derivs)
+    with mp.workdps(30):
+        q = [mp.mpf(c) for c in coeffs]                 # Q_0, ascending powers
+        for _ in range(m):
+            # (Q e^{-a x^2})' = (Q' - 2 a x Q) e^{-a x^2}
+            dq = [k * q[k] for k in range(1, len(q))] + [0, 0]
+            q = [d - x for d, x in zip(dq, [0] + [2 * mp.mpf(a) * c for c in q])]
+        zeros = sorted(r.real for r in mp.polyroots(q[::-1], maxsteps=100, extraprec=100)
+                       if abs(r.imag) < 1e-20 and 0 < r.real < N)
+        absint = mp.quad(lambda x: abs(mp.polyval(q[::-1], x)) * mp.exp(-a * x * x),
+                         [0] + zeros + [N])
+    assert len(zeros) == 6
+    assert bound == pytest.approx(float(abs(bernoulli_number(m))) / math.factorial(m)
+                                  * float(absint), rel=1e-9)
+    direct = math.fsum((k ** 3 - k) * math.exp(-a * k * k) for k in range(N + 1))
+    assert abs(est - direct) <= bound
+
+
 def test_s3_action_value():
     f = gaussian_cutoff()
     ref = math.sqrt(math.pi) / 2.0 * 1000.0 - math.sqrt(math.pi) / 4.0 * 10.0
