@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .special import gamma_laurent
+from .special import _circle_coeff, gamma_laurent
 
 __all__ = [
     "PoleDatum",
@@ -97,9 +97,6 @@ class AsymptoticExpansion:
                 acc += t.value(x, self.variable)
         return acc.real
 
-    def max_re_z(self) -> float:
-        return max((t.z.real for t in self.terms), default=-math.inf)
-
 
 def _strip_index(z: complex, scale: list[float]) -> int:
     re = z.real
@@ -143,8 +140,8 @@ def heat_expansion_from_poles(poles: list[PoleDatum], scale: list[float],
     return AsymptoticExpansion(terms, list(scale), "heat-t")
 
 
-def action_expansion(heat_exp: AsymptoticExpansion, f, d: int = 2,
-                     spectrum_p: float | None = None) -> AsymptoticExpansion:
+def action_expansion(heat_exp: AsymptoticExpansion, f, d: int = 2, *,
+                     spectrum_p: float) -> AsymptoticExpansion:
     """Large-Lambda expansion of Tr f(|D|/Lambda) from the heat expansion.
 
     psi_k(L) = sum_{z in X_k} L^z sum_n (-1)^n log^n L
@@ -152,12 +149,11 @@ def action_expansion(heat_exp: AsymptoticExpansion, f, d: int = 2,
     """
     if not hasattr(f, "f_moment"):     # Schwartz-only, sharp, or a bare callable
         raise TypeError("action_expansion: cutoff has no Laplace measure")
-    p_spec = spectrum_p if spectrum_p is not None else heat_exp.max_re_z()
     # an envelope (exponential decay) gives every moment; a power decay p_f needs p_f > p
     cert = f.decay_certificate
-    if cert is not None and cert[0] <= p_spec:
+    if cert is not None and cert[0] <= spectrum_p:
         raise ValueError(
-            f"action_expansion: cutoff decay p={cert[0]} must exceed spectrum p={p_spec}")
+            f"action_expansion: cutoff decay p={cert[0]} must exceed spectrum p={spectrum_p}")
     by_z: dict[complex, dict[int, complex]] = {}
     strip_of: dict[complex, int] = {}
     for t in heat_exp.terms:
@@ -224,13 +220,7 @@ def ncint(pole: PoleDatum, k: int) -> complex:
 def ncint_numeric(zeta_fn, k: int, z: complex, radius: float = 0.1,
                   n_nodes: int = 256) -> complex:
     """Numeric Laurent fit: b_{-k}(z) by a Cauchy circle integral of zeta."""
-    z = complex(z)
-    acc = 0.0 + 0.0j
-    for m in range(n_nodes):
-        th = 2.0 * math.pi * m / n_nodes
-        w = radius * cmath.exp(1j * th)
-        acc += zeta_fn(z + w) * cmath.exp(1j * th * k)
-    return acc / n_nodes * radius ** k
+    return _circle_coeff(zeta_fn, complex(z), -k, radius, n_nodes)
 
 
 def ncint_from_heat_coeffs(a_map: dict[int, complex], z: complex,
@@ -272,9 +262,6 @@ class RadiusEstimate:
     limsup: float
     window: tuple[int, int]
     kind: str   # "finite" | "infinite" | "divergent"
-
-    def __float__(self) -> float:
-        return self.T
 
 
 def convergence_radius(c_k, eps_k, r_k) -> RadiusEstimate:

@@ -29,12 +29,12 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .special import digamma, log_gamma, trigamma
-from .summation import EmShape
+from .summation import EmShape, Envelope, _legendre
 
 __all__ = [
     "Envelope",
@@ -60,13 +60,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Measure components
 # ---------------------------------------------------------------------------
-
-class Envelope(NamedTuple):
-    """f(x) <= C e^{-a x} (kind "exp") or C e^{-(x/a)^2} (kind "gauss") for every x >= 0."""
-    kind: str
-    C: float
-    a: float
-
 
 @dataclass(frozen=True)
 class Atom:
@@ -150,7 +143,7 @@ class GammaDensity:
     def _quad_nodes(self, n: int = 400):
         # Gauss-Legendre on [0, span] against the gamma pdf
         span = self.shift + (self.r + 40.0) / self.rate
-        x, wq = np.polynomial.legendre.leggauss(n)
+        x, wq = _legendre(n)
         s = 0.5 * span * (x + 1.0) + self.shift
         wq = wq * 0.5 * span
         lpdf = (self.r * math.log(self.rate) + (self.r - 1.0) * np.log(np.maximum(s - self.shift, 1e-300))
@@ -196,7 +189,8 @@ class WindowDensity:
         x = np.asarray(x, dtype=float)
         small = np.abs(x) < 1e-8
         xs = np.where(small, 1.0, x)
-        out = self.weight * (np.exp(-self.a * xs) - np.exp(-self.b * xs)) / xs
+        # e^{-ax} (1 - e^{-(b-a)x}) / x: the difference cancels at small x, expm1 does not
+        out = self.weight * np.exp(-self.a * xs) * -np.expm1(-(self.b - self.a) * xs) / xs
         lin = self.weight * ((self.b - self.a) - (self.b ** 2 - self.a ** 2) / 2.0 * x)
         return np.where(small, lin, out)
 
@@ -329,9 +323,6 @@ class CutoffFunction:
             return float(out)
         return out
 
-    def __call__(self, x):
-        return self.evaluate(x)
-
     def f0(self) -> float:
         """f(0) = total mass of the measure."""
         return self.moment(0.0)
@@ -414,9 +405,6 @@ class SchwartzCutoff:
     def evaluate(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
-    def __call__(self, x):
-        return self.evaluate(x)
-
     def f0(self) -> float:
         return float(self.fn(np.asarray(0.0)))
 
@@ -459,9 +447,6 @@ class IndicatorCutoff:
         if out.ndim == 0:
             return float(out)
         return out
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
     def f0(self) -> float:
         return 1.0
@@ -521,7 +506,7 @@ def null_taylor_cutoff() -> CutoffFunction:
     x^p e^{-s_i x} peaks at x = p/s_i.
     """
     # 12-point Gauss-Legendre on each unit cell of y in [0, 140]
-    xg, wg = np.polynomial.legendre.leggauss(12)
+    xg, wg = _legendre(12)
     nodes, weights = [], []
     for i in range(140):
         y = 0.5 * (xg + 1.0) + i
@@ -563,7 +548,7 @@ def _to_quad(comp) -> QuadDensity:
     if isinstance(comp, Atom):
         return QuadDensity((comp.location,), (comp.weight,))
     if isinstance(comp, WindowDensity):
-        xg, wg = np.polynomial.legendre.leggauss(160)
+        xg, wg = _legendre(160)
         s = 0.5 * (comp.b - comp.a) * (xg + 1.0) + comp.a
         w = 0.5 * (comp.b - comp.a) * wg * comp.weight
         return QuadDensity(tuple(s.tolist()), tuple(w.tolist()))

@@ -149,11 +149,6 @@ def _s1_zeta(s: complex) -> complex:
     return 1.0 + 2.0 * riemann_zeta(s)
 
 
-def _s1_bar_zeta(s: complex) -> complex:
-    # kernel-removed S^1: 2 zeta(s)
-    return 2.0 * riemann_zeta(s)
-
-
 def _s1nt_zeta(s: complex) -> complex:
     # mu_n = n + 1/2, mult 2: 2 zeta(s, 1/2)
     return 2.0 * hurwitz_zeta(s, 0.5)
@@ -221,7 +216,7 @@ def catalog_zeta(triple_id: str, params: PodlesParams | None = None,
                  j_max: int = 6, k_range: int = 12) -> CatalogZeta:
     """Closed-form zeta (value + pole data) for a catalog id.
 
-    Ids: s1, s1bar (kernel removed), s1nt, s2, s3, s4, nct2, nct4,
+    Ids: s1, s1nt, s2, s3, s4, nct2, nct4,
     podless (simplified Podles; needs params), podles (full; value only).
     A trailing 'sq' maps to the D^2 spectrum via s -> 2s.
     """
@@ -229,8 +224,6 @@ def catalog_zeta(triple_id: str, params: PodlesParams | None = None,
         return catalog_zeta(triple_id[:-2], params, j_max, k_range).squared()
     if triple_id == "s1":
         return _simple_pole_sequence(_s1_zeta, 1.0, 2.0, k_range, 1.0, "S^1")
-    if triple_id == "s1bar":
-        return _simple_pole_sequence(_s1_bar_zeta, 1.0, 2.0, k_range, 1.0, "S^1 bar")
     if triple_id == "s1nt":
         return _simple_pole_sequence(_s1nt_zeta, 1.0, 2.0, k_range, 1.0, "S^1 nontrivial")
     if triple_id == "s2":

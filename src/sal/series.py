@@ -14,7 +14,11 @@ sizes.  Heat-trace exponentials and the reported tail bounds are libm's.
 Tail bounds follow the spectrum's declared growth model:
 polynomial-counting spectra use an incomplete-gamma integral comparison,
 exponential spectra a geometric bound from the growth ratio, and the
-log-square family a dedicated substitution bound.  On the round spheres the
+log-square family a dedicated substitution bound.  The heat trace is the
+action of the envelope e^{-tx} at Lambda = 1, so it takes the envelope bound.
+Each engine hands the kernel a bound or none, and the kernel alone decides
+`converged` and `certified`: a spectrum without a tail model (a JSON-lines
+file) is summed to its end and never converges.  On the round spheres the
 data are exact (singular values n + c, multiplicities a polynomial in them),
 and heat traces of |D| and D^2, zeta values of |D| and D^2, and the actions
 of every cut-off whose parts report Euler--Maclaurin shapes (`exp` and its
@@ -35,11 +39,10 @@ from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .special import gamma, riemann_zeta, upper_gamma
 from .spectra import ExponentialTail, LogSquareTail, PolynomialTail, SphereTail, Spectrum
-from .summation import EmShape, _gauss_legendre, em_tail, upper_gamma_array
+from .summation import EmShape, Envelope, _gauss_legendre, em_tail, upper_gamma_array
 
 log = logging.getLogger(__name__)
 
@@ -67,6 +70,8 @@ class DivergentSeriesError(ValueError):
 class TruncationReport:
     """A certified sum: |value - exact| <= tail_bound, up to rounding, when `certified`.
 
+    `certified` is false only where the sum was tested for a stop with no
+    tail certificate; `converged` says the bound met the tolerance.
     `terms_used` counts the summed terms (the head).  Where the tail has a
     closed-form Euler--Maclaurin estimate (round spheres; see the module
     docstring), value = head + estimate and `tail_bound` bounds the
@@ -77,10 +82,7 @@ class TruncationReport:
     terms_used: int
     tail_bound: float
     converged: bool
-    certified: bool = True
-
-    def __float__(self) -> float:
-        return float(self.value.real if isinstance(self.value, complex) else self.value)
+    certified: bool
 
 
 class PairwiseSummer:
@@ -165,15 +167,14 @@ class PairwiseSummer:
 # ---------------------------------------------------------------------------
 
 class _Cols(NamedTuple):
-    """Index, value, multiplicity, term and engine column (`aux`) of a block."""
+    """Index, value, multiplicity and term columns of a block."""
     n: np.ndarray
     v: np.ndarray
     m: np.ndarray
     x: np.ndarray
-    aux: np.ndarray | None
 
     def at(self, k: int) -> "_Cols":
-        return _Cols(*(None if c is None else c[k:k + 1] for c in self))
+        return _Cols(*(c[k:k + 1] for c in self))
 
 
 def _libm(fn, x: np.ndarray, *consts) -> np.ndarray:
@@ -209,38 +210,37 @@ def _tail_at(bound, cols: _Cols) -> tuple[float | complex, float]:
     return (est if np.ndim(est) == 0 else est[0].item()), float(tail[0])
 
 
-def _certified_sum(spectrum: Spectrum, block_terms, bound, tol: float,
-                   base: float = 0.0, seed: float | None = None):
+def _certified_sum(spectrum: Spectrum, block_terms, bound, tol: float, base: float):
     """Sum a spectrum's terms up to the first certified stop.
 
-    `block_terms(n, v, m)` gives a block's terms (real or complex), its `aux`
-    column, the mask of indices where the tail bound holds, and the index of
-    a sharp edge ending the sum (or None); `bound(cols, xp)` gives the tails
-    past each index as (estimate, bound) with |tail - estimate| <= bound
-    (None: no certificate).  The stop is the first n >= 4 where the bound
-    holds and is < tol (|base + S_n + estimate| + 1), S_n the running sum from
-    `seed`; the total is S_n + estimate there.  Indices that pass a screen on
-    cumulative sums (widened by their rounding error) are tested on the exact
-    sum and libm bound, so it is the term-by-term stop.  Index _MAX_TERMS + 1
-    ends the sum unconverged in any case, with an infinite bound where it is
-    not tested.  A spectrum with a tail model that runs out is decided by the
-    bound at its final entry, whatever its index.
-    Returns (total, terms_used, tail_bound, converged, tested).
+    `block_terms(n, v, m)` gives a block's terms (real or complex), the mask
+    of indices where the tail bound holds, and the index of a sharp edge
+    ending the sum (or None); `bound(cols, xp)` gives the tails past each
+    index as (estimate, bound) with |tail - estimate| <= bound (None: no
+    certificate).  The stop is the first n >= 4 where the bound holds and is
+    < tol (|base + S_n + estimate| + 1), S_n the running sum; the total is
+    S_n + estimate there.  Indices that pass a screen on cumulative sums
+    (widened by their rounding error) are tested on the exact sum and libm
+    bound, so it is the term-by-term stop.  Index _MAX_TERMS + 1 ends the sum
+    unconverged in any case, with an infinite bound where it is not tested.
+    A spectrum that runs out is decided by the bound at its final entry,
+    whatever its index: without a certificate that bound is infinite.
+    The sum is `certified` unless some index was tested without a
+    certificate; a sharp edge ends an exact, certified sum.
+    Returns (total, terms_used, tail_bound, converged, certified).
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"need 0 < tol < inf, got tol={tol}")
     summer = PairwiseSummer()
-    if seed is not None:
-        summer.add(seed)
     count, absum, tested, final = 0, 0.0, False, None
     for v, m in spectrum.blocks():
         n = np.arange(count, count + v.size)
-        x, aux, holds, cut = block_terms(n, v, m)
+        x, holds, cut = block_terms(n, v, m)
         x, holds = x[:cut], holds[:cut]
         live = holds & (n[:x.size] >= 4)
         absum += float(np.abs(x).sum())
         done = 0
-        cols = _Cols(n, v, m, x, aux)
+        cols = _Cols(n, v, m, x)
         near = n[:x.size] > _MAX_TERMS          # the term cap, tested or not
         if live.any():
             # the cumulative sums miss the exact running sums by less than slack
@@ -255,27 +255,27 @@ def _certified_sum(spectrum: Spectrum, block_terms, bound, tol: float,
             total = summer.total() + est
             limit = tol * (abs(base + total) + 1.0)
             if tail < limit or n[k] > _MAX_TERMS:
-                return (total, k + count + 1, tail, tail < limit,
-                        tested or bool(live[:k + 1].any()))
+                tested |= bool(live[:k + 1].any())
+                return total, k + count + 1, tail, tail < limit, bound is not None or not tested
         tested |= bool(live.any())
         summer.extend(x[done:])
         if cut is not None:
-            return summer.total(), count + cut + 1, 0.0, True, tested
+            return summer.total(), count + cut + 1, 0.0, True, True
         final = cols.at(x.size - 1) if holds[-1] else None
         count += v.size
     est, tail = (0.0, math.inf) if final is None else _tail_at(bound, final)
     total = summer.total() + est
-    converged = spectrum.meta.tail is not None and tail < tol * (abs(base + total) + 1.0)
-    return total, count, tail, converged, tested
+    return (total, count, tail, tail < tol * (abs(base + total) + 1.0),
+            bound is not None or not tested)
 
 
 # ---------------------------------------------------------------------------
 # Tail bounds
 # ---------------------------------------------------------------------------
 
-def _geometric(term: np.ndarray, rho: np.ndarray, cap: float = 1.0) -> np.ndarray:
+def _geometric(term: np.ndarray, rho: np.ndarray) -> np.ndarray:
     # term * rho / (1 - rho): the tail of a series whose term ratios stay below rho
-    return np.where(rho < cap, term * rho / (1.0 - rho), math.inf)
+    return np.where(rho < 1.0, term * rho / (1.0 - rho), math.inf)
 
 
 def _poly_heat_tail(tail: PolynomialTail, t: float, X: np.ndarray, xp) -> np.ndarray:
@@ -366,23 +366,6 @@ def _logsq_heat_tail(tail: LogSquareTail, t: float, n, term, xp) -> np.ndarray:
     return np.where(lead <= 1.0, math.inf, term * X / (lead - 1.0))
 
 
-def _ratio_window():
-    """rho_n for spectra without a tail model: the largest ratio term_k / term_{k-1}
-    between positive terms over the last 8 indices k <= n, or 1 if there is none."""
-    before = np.zeros(8)
-
-    def rho(x: np.ndarray) -> np.ndarray:
-        nonlocal before
-        ext = np.concatenate((before, x))
-        r = np.divide(ext[1:], ext[:-1], out=np.full(ext.size - 1, -math.inf),
-                      where=(ext[:-1] > 0) & (ext[1:] > 0))
-        before = ext[-8:]
-        window = sliding_window_view(r, 8).max(axis=1)
-        return np.where(window > -math.inf, window, 1.0)
-
-    return rho
-
-
 # ---------------------------------------------------------------------------
 # Heat trace
 # ---------------------------------------------------------------------------
@@ -398,30 +381,18 @@ def heat_trace(spectrum: Spectrum, t: float, tol: float = 1e-12,
         raise ValueError(f"heat_trace: need 0 < t < inf, got t={t}")
     meta, tail = spectrum.meta, spectrum.meta.tail
     base = float(meta.kernel_dim) if include_kernel and meta.kernel_dim else 0.0
-    window = None
-    if isinstance(tail, PolynomialTail):
-        counting = lambda c, xp: _poly_heat_tail(tail, t, c.v, xp)
-    elif isinstance(tail, ExponentialTail):
-        # mu_{m+1} - mu_m >= (ratio - 1) mu_n for every m >= n
-        counting = lambda c, xp: _geometric(
-            c.x, (c.n + 2) / (c.n + 1) * xp.exp(-t * (tail.ratio - 1.0) * c.v))
-    elif isinstance(tail, LogSquareTail):
-        counting = lambda c, xp: _logsq_heat_tail(tail, t, c.n, c.x, xp)
-    else:           # uncertified: a geometric tail from recent term ratios
-        window = _ratio_window()
-        counting = lambda c, xp: _geometric(c.x, c.aux, cap=0.95)
     # e^{-t u} on a sphere's |D|, e^{-t u^2} on D^2
     shape = EmShape(1.0, "gauss" if isinstance(tail, SphereTail) and tail.squared else "exp", t)
-    bound = _estimated(tail, [shape], counting)
+    bound = _estimated(tail, [shape], _envelope_tail(tail, Envelope("exp", 1.0, t), 1.0))
 
     def block_terms(n, v, m):
         x = m * _libm(math.exp, np.maximum(-t * v, -745.0))
         x[t * v >= 745] = 0.0
-        return x, window(x) if window else None, np.ones(x.size, bool), None
+        return x, np.ones(x.size, bool), None
 
-    total, terms, tail_bound, converged, _ = _certified_sum(
+    total, terms, tail_bound, converged, certified = _certified_sum(
         spectrum, block_terms, bound, tol, base=base)
-    return TruncationReport(base + total, terms, tail_bound, converged, tail is not None)
+    return TruncationReport(base + total, terms, tail_bound, converged, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +418,18 @@ def zeta_direct(spectrum: Spectrum, s: complex, tol: float = 1e-12,
     log.debug("zeta_direct: convergence margin Re(s) - p = %g",
               sigma - meta.dimension_p)
 
+    base = float(meta.kernel_dim) if include_kernel and meta.kernel_dim else 0.0
+
     def block_terms(n, v, m):
         x = m * v ** (-sigma)
-        return (x * np.exp(-1j * s.imag * np.log(v)) if s.imag else x, None,
-                np.ones(x.size, bool), None)
+        return x * np.exp(-1j * s.imag * np.log(v)) if s.imag else x, np.ones(x.size, bool), None
 
     # u^{-s} on a sphere's |D|, u^{-2s} on D^2
     power = 2.0 * s if isinstance(tail, SphereTail) and tail.squared else s
     bound = _estimated(tail, [EmShape(1.0, "power", power)], _power_tail(tail, sigma))
-    total, terms, tail_bound, converged, tested = _certified_sum(
-        spectrum, block_terms, bound, tol,
-        seed=float(meta.kernel_dim) if include_kernel and meta.kernel_dim else None)
-    certified = tail is not None and not (bound is None and tested)
-    return TruncationReport(complex(total), terms, tail_bound, converged, certified)
+    total, terms, tail_bound, converged, certified = _certified_sum(
+        spectrum, block_terms, bound, tol, base=base)
+    return TruncationReport(complex(base + total), terms, tail_bound, converged, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -493,44 +463,47 @@ def spectral_action_direct(spectrum: Spectrum, f, lam: float,
             "series diverges")
     base = meta.kernel_dim * f.f0() if meta.kernel_dim else 0.0
     shapes = f.em_shapes(lam) if _on_sphere(tail) and hasattr(f, "em_shapes") else None
-    # the bound holds from x0 on (x = aux): an edge ends the sum there
+    # the bound holds from x = mu/Lambda >= x0 on: an edge ends the sum there
     x0 = edge if edge is not None else cert[2] if cert is not None else 0.0
 
     def block_terms(n, v, m):
         x = v / lam
         beyond = np.flatnonzero(x > edge) if edge is not None else ()
-        return (m * f.evaluate(x), x, np.ones(x.size, bool) if shapes else x >= x0,
+        return (m * f.evaluate(x), np.ones(x.size, bool) if shapes else x >= x0,
                 int(beyond[0]) if len(beyond) else None)
 
     if env is not None:
         counting = _envelope_tail(tail, env, lam)
     elif cert is not None and (power := _power_tail(tail, cert[0])) is not None:
         p_f, C_f, _ = cert
-        counting = lambda c, xp: np.where(c.aux >= x0, C_f * lam ** p_f * power(c, xp), math.inf)
+        counting = lambda c, xp: np.where(c.v / lam >= x0, C_f * lam ** p_f * power(c, xp),
+                                          math.inf)
     else:
         counting = None
     bound = _estimated(tail, shapes, counting)
-    total, terms, tail_bound, converged, tested = _certified_sum(
+    total, terms, tail_bound, converged, certified = _certified_sum(
         spectrum, block_terms, bound, tol, base=base)
-    certified = isinstance(tail, (PolynomialTail, ExponentialTail)) or not tested
     return TruncationReport(base + total, terms, tail_bound, converged, certified)
 
 
 def _envelope_tail(tail, env, lam: float):
     """bound(cols, xp) on sum_{m>n} M_m f(mu_m/Lambda) from an envelope
     f <= C h, h(x) = e^{-ax} or e^{-(x/w)^2}, on a polynomial or exponential
-    tail model, or None on any other.
+    tail model, or for h = e^{-ax} on a log-square one; None on any other.
+    The heat trace is the envelope e^{-tx} at Lambda = 1.
 
     With h decreasing and N(L) <= A (c+L)^P, Stieltjes integration (dropping
     -h(X/Lambda) N(X) <= 0) bounds the tail past X by
-    int_X^oo A (c+u)^P d(-h(u/Lambda)): the heat-trace bound at t = a/Lambda
-    for h = e^{-ax}, and, with Q = ceil(P),
+    int_X^oo A (c+u)^P d(-h(u/Lambda)): the incomplete-gamma heat-trace bound
+    at t = a/Lambda for h = e^{-ax}, and, with Q = ceil(P),
     A ((c+X)/X)^P X^{P-Q} (w Lambda)^Q Gamma(Q/2+1, (X/(w Lambda))^2)
     for h = e^{-(x/w)^2}, since (c+u)^P <= ((c+X)/X)^P X^{P-Q} u^Q past X;
     so Gamma is only needed at integer and half-integer a.
     With mu_{m+1} >= r mu_m and h(r x)/h(x) falling in x, the terms
     M_m h(mu_m/Lambda) past n fall by at most
     (n+2)/(n+1) h(r mu_n/Lambda)/h(mu_n/Lambda) each: a geometric bound.
+    On mu_n = ln^2(n + shift) the substitution u = ln x bounds the heat tail
+    past n by the term M_n e^{-t mu_n} times X/(2t ln X - 1), X = n + shift + 1.
     """
     if isinstance(tail, ExponentialTail):
         # h(mu/Lambda) = e^{-y} and h(r mu/Lambda)/h(mu/Lambda) = e^{-(k-1) y}
@@ -542,11 +515,15 @@ def _envelope_tail(tail, env, lam: float):
             y = lambda v: (v / s) ** 2
         return lambda c, xp: env.C * _geometric(
             c.m * xp.exp(-y(c.v)), (c.n + 2) / (c.n + 1) * xp.exp(-(k - 1.0) * y(c.v)))
-    if not isinstance(tail, PolynomialTail):
-        return None
     if env.kind == "exp":
         t = env.a / lam
-        return lambda c, xp: env.C * _poly_heat_tail(tail, t, c.v, xp)
+        if isinstance(tail, PolynomialTail):
+            return lambda c, xp: env.C * _poly_heat_tail(tail, t, c.v, xp)
+        if isinstance(tail, LogSquareTail):
+            return lambda c, xp: env.C * _logsq_heat_tail(tail, t, c.n, c.m * xp.exp(-t * c.v), xp)
+        return None
+    if not isinstance(tail, PolynomialTail):
+        return None
     A, P, off = tail.coeff, tail.power, max(tail.offset, 0.0)
     Q = float(math.ceil(P))
     s = env.a * lam

@@ -152,9 +152,6 @@ class Spectrum:
         for values, mults in self._blocks():
             yield from map(SpectrumEntry, values.tolist(), map(int, mults.tolist()))
 
-    def __iter__(self) -> Iterator[SpectrumEntry]:
-        return self.entries()
-
     def take(self, n: int) -> list[SpectrumEntry]:
         return list(islice(self.entries(), n))
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,6 +39,7 @@ from .special import (_E1_SERIES_TO, _e1_series, _em_coeffs, bernoulli_number,
 
 __all__ = [
     "EmShape",
+    "Envelope",
     "RadialSummand",
     "gaussian_summand",
     "exp_abs_summand",
@@ -268,11 +270,19 @@ def _sign_change(fn, lo: float, hi: float, pos: bool) -> float:
     return mid
 
 
+@lru_cache(maxsize=None)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss--Legendre rule on [-1, 1] as read-only (nodes, weights)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _gauss_legendre(fn: Callable[[float], complex], a: float, b: float) -> complex:
     """int_a^b fn (real or complex scalar fn) by composite 20-node Gauss--Legendre
     on 1, 2, 4, ..., 1024 equal panels, until two levels agree to 1e-12 times
     int_a^b |fn| (ArithmeticError if none do); the terms are summed exactly."""
-    x, w = np.polynomial.legendre.leggauss(20)
+    x, w = _legendre(20)
     old = None
     for k in range(11):
         edges = np.linspace(a, b, 2 ** k + 1)
@@ -301,6 +311,13 @@ def _laurent(coef: dict, U: np.ndarray, xp):
     for k in range(max(coef), lo - 1, -1):
         acc = acc * U + coef.get(k, 0.0)
     return acc * xp.power(U, float(lo)) if lo else acc
+
+
+class Envelope(NamedTuple):
+    """f(x) <= C e^{-a x} (kind "exp") or C e^{-(x/a)^2} (kind "gauss") for every x >= 0."""
+    kind: str
+    C: float
+    a: float
 
 
 class EmShape(NamedTuple):

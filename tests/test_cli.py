@@ -48,6 +48,26 @@ def test_expand_s3sq_two_terms(capsys):
     assert abs(got[0.5] + math.sqrt(math.pi) / 4) < 1e-12
 
 
+def test_expand_s1nt_is_the_laurent_series_of_the_heat_trace(capsys):
+    # sum_n 2 e^{-t(n + 1/2)} = 1/sinh(t/2) = 2/t - t/12 + 7 t^3/2880 - ...
+    code, out, err = run_cli(["expand", "--triple", "s1nt", "--strips", "3",
+                              "--format", "json"], capsys)
+    assert code == 0
+    got = {float(r["re_z"]): float(r["re_a"]) for r in json.loads(out)}
+    expected = {1.0: 2.0, -1.0: -1.0 / 12.0, -3.0: 7.0 / 2880.0}
+    assert {1.0, -1.0} <= set(got) <= set(expected)
+    assert all(abs(a - expected[z]) < 1e-12 for z, a in got.items())
+
+
+def test_compare_s4_exp_agrees_with_the_expansion(capsys):
+    code, out, err = run_cli(["compare", "--triple", "s4", "--cutoff", "exp:1",
+                              "--lambda-grid", "5:20:2", "--strips", "12"], capsys)
+    assert code == 0
+    rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+    assert len(rows) == 2 and [r[-1] for r in rows] == ["True"] * 2
+    assert all(abs(float(r[3])) <= 1e-14 * abs(float(r[1])) for r in rows)
+
+
 def test_zeta_subcommand(capsys):
     code, out, err = run_cli(["zeta", "--triple", "s1", "--s", "3,0",
                               "--tol", "1e-12"], capsys)
@@ -313,7 +333,7 @@ def test_file_triple(tmp_path, capsys):
     path.write_text("\n".join(json.dumps(r) for r in rows))
     code, out, err = run_cli(["heat", "--triple", f"file:{path}",
                               "--t-grid", "0.5:0.5:1", "--tol", "1e-10"], capsys)
-    assert code in (0, 3)  # file spectra carry no certified tail model
+    assert code == 3  # no tail model: every entry is summed, and no bound certifies the tail
     val = float(out.strip().splitlines()[1].split(",")[1])
     assert abs(val - 1.0 / math.tanh(0.25)) < 1e-9
 

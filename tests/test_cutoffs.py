@@ -260,6 +260,17 @@ def test_window_f_moment_vs_mpmath():
             assert _close(w.f_moment(z, n), ref, 1e-13), (z, n)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 1.130859375), (1.0, 2.0), (0.0, 1.0), (0.5, 3.0)])
+def test_window_evaluate_vs_mpmath(a, b):
+    # (e^{-ax} - e^{-bx})/x loses digits to cancellation at small x as a difference
+    xs = [1e-7, 1e-6, 1e-4, 1e-2, 1.0, 30.0]
+    got = window_cutoff(a, b).evaluate(np.array(xs)).tolist()
+    with mp.workdps(30):
+        for x, val in zip(xs, got):
+            ref = (mp.exp(-a * mp.mpf(x)) - mp.exp(-b * mp.mpf(x))) / x
+            assert abs(val - ref) <= 1e-15 * ref, (x, val)
+
+
 def test_shifted_gamma_density_vs_mpmath():
     # e^{-x} (1 + x)^{-3}: the gamma density of the power law moved by the atom at 1
     (g,) = parse_cutoff("product(exp:1,powerlaw:1,1,3)").components

@@ -11,7 +11,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sal.cutoffs import (CutoffFunction, GammaDensity, exp_cutoff, parse_cutoff)
@@ -185,6 +185,7 @@ def _mp_action(spectrum, f, f0, lam: float):
 
 @settings(max_examples=80, deadline=None)
 @given(TRIPLES, ENVELOPE_CUTOFFS, st.floats(0.0, 1.0))
+@example(triple=("podles", 0.1, 0.5), cutoff=_window_text(1.0, 0.130859375), u=1.0)
 def test_envelope_route_within_bound(triple, cutoff, u):
     """Lambda in [0.5, 1e3], log-uniform; on polynomial growth only up to where
     the reference sum stays within REACH (mu_n up to 110/a Lambda)."""

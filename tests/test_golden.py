@@ -7,6 +7,9 @@ for bit; zeta values may differ in the last place, since numpy's power is not
 libm's (and Python's complex power multiplies out integer exponents).  Every
 tail model is covered: polynomial (spheres, lattices, squared), exponential
 (Podles, squared Podles), log-square, and none (a JSON-lines spectrum).
+A spectrum without a tail model has no certificate: every engine sums all of
+its entries and reports an infinite bound, neither converged nor (past the
+four entries before the first stop test) certified.
 
 The sphere keys `s1`, `s1nt`, `s2`, `s3`, `s2sq` and `s3sq` are the catalog
 spheres, which declare exact data.  Off the Euler--Maclaurin route (window,
@@ -88,7 +91,7 @@ HEAT = [   # spectrum, t, options, terms_used, value, tail_bound, converged, cer
     ('podless', 1.0, {'tol': 1e-14}, 5, 1.6685645186558675, 7.084567580812618e-18, True, True),
     ('podlessq', 0.01, {}, 6, 25.74916837394277, 6.6496526166984385e-31, True, True),
     ('logsq', 1.5, {'tol': 1e-09}, 44, 0.7410341798256203, 1.5933750865905606e-09, True, True),
-    ('jsonl', 0.5, {}, 62, 15.670792356117355, 1.379784862504854e-11, True, False),
+    ('jsonl', 0.5, {}, 300, 15.670792356131056, math.inf, False, False),
     ('jsonl', 0.01, {}, 300, 32063.5747791169, math.inf, False, False),
     ('s1.em', 0.1, {}, 5, 20.0166638895501, 2.291481431769859e-17, True, True),
     ('s1.em', 0.5, {'tol': 1e-15}, 19, 4.082988165073596, 3.7023566442096745e-15, True, True),

@@ -89,6 +89,21 @@ def test_heat_log_square_spectrum_succeeds():
     assert abs(rep.value - direct) < 1e-6
 
 
+@pytest.mark.parametrize("lam, tol", [(0.5, 1e-9), (1.0, 1e-12)])
+def test_exp_action_on_log_square_spectrum_within_bound(lam, tol):
+    # e^{-x} is its own envelope: the action's tail bound is the log-square
+    # heat bound at t = 1/Lambda, and must hold the whole sum (mpmath)
+    import mpmath as mp
+    rep = spectral_action_direct(log_square_spectrum(), exp_cutoff(1.0), lam, tol=tol)
+    assert rep.converged and rep.certified
+    with mp.workdps(30):
+        total, n, term = mp.mpf(0), 0, mp.mpf(1)
+        while term > 1e-30 * total:
+            term = mp.exp(-mp.log(n + 2) ** 2 / lam)
+            total, n = total + term, n + 1
+    assert abs(rep.value - total) <= rep.tail_bound + 1e-13 * total
+
+
 # ---------------------------------------------------------------------------
 # zeta values
 # ---------------------------------------------------------------------------
