@@ -11,8 +11,12 @@ a power (`powerlaw`, `window:0,b`, `nulltaylor` and products of these), the
 `decay_certificate` (p, C, x0): |f(x)| <= C x^{-p} for x >= x0.  A cut-off
 may also report its x-moments int_0^oo x^k f(x) dx exactly, and f(mu/Lambda)
 as Euler--Maclaurin shapes in mu (`em_shapes`), each measure component its
-own: an atom e^{-(a/Lambda) mu}, an unshifted gamma density a power of
-mu + Lambda rate, and a Gaussian e^{-mu^2/(w Lambda)^2}.
+own: an atom e^{-(a/Lambda) mu}, a window w Lambda (e^{-(a/Lambda) mu} -
+e^{-(b/Lambda) mu})/mu with a > 0, a tabulated density one exponential per
+node, an unshifted gamma density a power of mu + Lambda rate, and a Gaussian
+e^{-mu^2/(w Lambda)^2}.  A product's shapes are the pairwise products of its
+factors' exponential ones, just as its pointwise values are the products of
+its factors' values.
 
 Pointwise evaluation of products multiplies the factors' closed forms
 (L[phi * chi] = L[phi] L[chi]), so direct summation stays cheap even when
@@ -197,13 +201,14 @@ class WindowDensity:
     def exp_bound(self) -> tuple[float, float]:
         return (self.b - self.a) * abs(self.weight), self.a   # (1 - e^{-(b-a)x})/x <= b - a
 
-    def em_shapes(self, lam: float) -> None:
-        # w Lambda (e^{-(a/Lambda) mu} - e^{-(b/Lambda) mu}) / mu is two "exp" shapes
-        # with low = -1, which `summation.em_tail` sums; the window keeps its envelope
-        # bound until the benchmark's long_sums worker stops keeping data per
-        # operation, since that worker's peak memory grows with the speed of the
-        # sums (ROADMAP item 1)
-        return None
+    def em_shapes(self, lam: float) -> list[EmShape] | None:
+        # w (e^{-a mu/Lambda} - e^{-b mu/Lambda}) / (mu/Lambda): two u^{-1} "exp"
+        # shapes, none at a = 0 (or where a/Lambda underflows)
+        t = self.a / lam
+        if not t > 0.0:
+            return None
+        w = self.weight * lam
+        return [EmShape(w, "exp", t, 0.0, -1), EmShape(-w, "exp", self.b / lam, 0.0, -1)]
 
     def moment(self, m: float, absolute: bool = False) -> float:
         w = abs(self.weight) if absolute else self.weight
@@ -249,8 +254,13 @@ class QuadDensity:
     def exp_bound(self) -> tuple[float, float]:
         return float(np.sum(np.abs(self._arr()[1]))), 0.0     # nodes >= 0
 
-    def em_shapes(self, lam: float) -> None:
-        return None
+    def em_shapes(self, lam: float) -> list[EmShape] | None:
+        # sum_i w_i e^{-(s_i/Lambda) mu}: one "exp" shape per node, none with a node at 0
+        s, w = self._arr()
+        t = s / lam
+        if not (t > 0.0).all():
+            return None
+        return [EmShape(wi, "exp", ti) for wi, ti in zip(w.tolist(), t.tolist())]
 
     def evaluate(self, x):
         s, w = self._arr()
@@ -297,6 +307,12 @@ class SignedMeasure:
 # ---------------------------------------------------------------------------
 # Cut-off functions
 # ---------------------------------------------------------------------------
+
+# Past this many Euler--Maclaurin shapes (product(nulltaylor,nulltaylor) has
+# 1680^2) a product keeps its counting bound: the tail costs time in
+# proportion to the shapes, and `nulltaylor` times a window has 3360.
+_MAX_SHAPES = 4096
+
 
 @dataclass
 class CutoffFunction:
@@ -363,7 +379,23 @@ class CutoffFunction:
 
     def em_shapes(self, lam: float) -> list[EmShape] | None:
         """f(mu/Lambda) as Euler--Maclaurin shapes in mu (`summation.EmShape`), or
-        None unless every component of the measure reports its own."""
+        None unless every component of the measure reports its own.
+
+        A product takes its shapes from its factors, as `evaluate` does, not from
+        its tabulated components: the pairwise products of the factors' "exp"
+        shapes (weights multiply, params and lows add), None where a factor has
+        another shape, a low falls below -1, or there would be more than
+        _MAX_SHAPES of them."""
+        if self.factors:
+            shapes = [EmShape(1.0, "exp", 0.0)]
+            for fac in self.factors:
+                part = fac.em_shapes(lam)
+                if (part is None or any(sh.kind != "exp" for sh in part)
+                        or len(shapes) * len(part) > _MAX_SHAPES):
+                    return None
+                shapes = [EmShape(a.weight * b.weight, "exp", a.param + b.param, 0.0, a.low + b.low)
+                          for a in shapes for b in part]
+            return shapes if all(sh.low >= -1 for sh in shapes) else None
         shapes = []
         for c in self.components:
             part = c.em_shapes(lam)

@@ -21,10 +21,12 @@ Each engine hands the kernel a bound or none, and the kernel alone decides
 file) is summed to its end and never converges.  On the round spheres the
 data are exact (singular values n + c, multiplicities a polynomial in them),
 and heat traces of |D| and D^2, zeta values of |D| and D^2, and the actions
-of every cut-off whose parts report Euler--Maclaurin shapes (`exp` and its
-products, `powerlaw` and `gauss`) add a closed-form Euler--Maclaurin
-estimate of the tail (`summation.em_tail`) and certify only its remainder:
-a few to a few dozen terms instead of up to 2e6.
+of every cut-off whose parts report Euler--Maclaurin shapes (every Laplace
+cut-off: `exp`, `window:a,b` with a > 0, `nulltaylor` and their products,
+and `powerlaw`; and `gauss`) add a closed-form Euler--Maclaurin estimate of
+the tail (`summation.em_tail`) and certify only its remainder: a few to a
+few dozen terms instead of up to 2e6.  On D^2 the exponential shapes become
+Gaussian ones (`_sphere_shapes`); other shapes keep the counting bound there.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from .special import gamma, riemann_zeta, upper_gamma
 from .spectra import ExponentialTail, LogSquareTail, PolynomialTail, SphereTail, Spectrum
-from .summation import EmShape, Envelope, _gauss_legendre, em_tail, upper_gamma_array
+from .summation import EmShape, Envelope, _gauss_legendre, _libm, em_tail, upper_gamma_array
 
 log = logging.getLogger(__name__)
 
@@ -177,12 +178,6 @@ class _Cols(NamedTuple):
         return _Cols(*(c[k:k + 1] for c in self))
 
 
-def _libm(fn, x: np.ndarray, *consts) -> np.ndarray:
-    """A `math` function over an array.  numpy's SIMD exp, pow and log differ
-    from libm in the last place on a few percent of inputs, and by CPU."""
-    return np.fromiter(map(fn, x.tolist(), *map(repeat, consts)), float, x.size)
-
-
 # Tail bounds are screened with numpy over whole blocks; the one reported is
 # libm's, as the scalar formulas had it.  The two differ by a few ulps, far
 # below _SCREEN.
@@ -190,8 +185,7 @@ _NUMPY = SimpleNamespace(exp=np.exp, log=np.log, power=np.power,
                          upper_gamma=lambda a, y: upper_gamma_array(a, y))
 _LIBM = SimpleNamespace(exp=partial(_libm, math.exp), log=partial(_libm, math.log),
                         power=partial(_libm, math.pow),
-                        upper_gamma=lambda a, y: np.array([upper_gamma(a, v).real
-                                                           for v in y.tolist()]))
+                        upper_gamma=lambda a, y: _libm(lambda v: upper_gamma(a, v).real, y))
 _SCREEN = 1e-9
 _EPS = np.finfo(float).eps
 
@@ -311,45 +305,57 @@ def _power_tail(tail, sigma: float):
     return None
 
 
-def _on_sphere(tail) -> bool:
-    """Exact data of a sphere's |D|: singular values n + shift."""
-    return isinstance(tail, SphereTail) and not tail.squared
-
-
 def _shifted(coeffs: tuple, delta: float) -> tuple:
     """Coefficients in u of sum_j coeffs[j] (u - delta)^j."""
     return tuple(sum(a * math.comb(j, k) * (-delta) ** (j - k)
                      for j, a in enumerate(coeffs) if j >= k) for k in range(len(coeffs)))
 
 
+def _sphere_shapes(tail, shapes):
+    """A summand given as `summation.EmShape`s in mu as shapes in u_n on exact
+    sphere data (`SphereTail`), or None.  On |D| mu = u; on D^2 mu = u^2, so
+    e^{-t mu} is the Gaussian shape e^{-t u^2} and mu^{-s} is u^{-2s}, and
+    any other shape (a u^{-1} factor, a shift, a Gaussian) has no image."""
+    if not shapes or not isinstance(tail, SphereTail):
+        return None
+    if not tail.squared:
+        return shapes
+    if any(sh.low or sh.delta or sh.kind == "gauss" for sh in shapes):
+        return None
+    return [sh._replace(kind="gauss") if sh.kind == "exp" else sh._replace(param=2.0 * sh.param)
+            for sh in shapes]
+
+
 def _estimated(tail, shapes, counting):
     """The tail model's bound(cols, xp) -> (estimate, bound) from the
     array bound `counting` (None: no certificate).
 
-    On exact sphere data (`SphereTail`), `shapes` lists the summand as
-    `summation.EmShape`s in u_n: M_n sum weight u^low h(u), u = u_n + delta.
-    Their Euler--Maclaurin tails give the estimate and bound wherever those
-    are finite; elsewhere, and without shapes, the estimate is 0 and the
-    bound `counting`.
+    `shapes` (from `_sphere_shapes`, or None) lists the summand on exact
+    sphere data as `summation.EmShape`s in u_n: M_n sum weight u^low h(u),
+    u = u_n + delta, all of one kind, low and delta, and one shape if a power
+    (every cut-off's are).  Their Euler--Maclaurin tail, one array call over
+    all of them, gives the estimate and bound wherever those are finite;
+    elsewhere, and without such shapes, the estimate is 0 and the bound
+    `counting`.
     """
     if counting is None:
         return None
-    terms = []
-    if shapes and isinstance(tail, SphereTail):
+    em = None
+    if (shapes and len({(sh.kind, sh.delta, sh.low) for sh in shapes}) == 1
+            and (len(shapes) == 1 or shapes[0].kind != "power")):
+        kind, delta, low = shapes[0].kind, shapes[0].delta, shapes[0].low
+        lead = 1.0 + tail.shift + delta                     # U at n = 0
         try:
-            terms = [(sh.weight, em_tail(_shifted(tail.mults, sh.delta), sh.kind, sh.param, sh.low),
-                      1.0 + tail.shift + sh.delta) for sh in shapes]
+            em = em_tail(_shifted(tail.mults, delta), kind, [sh.param for sh in shapes], low,
+                         [sh.weight for sh in shapes], lead)
         except OverflowError:           # the tail's own coefficients overflow
             pass
-    if not terms:
+    if em is None:
         return lambda c, xp: (0.0, counting(c, xp))
 
     def bound(c, xp):
-        est = err = 0.0
         try:
-            for w, em, lead in terms:
-                e, b = em(c.n + lead, xp)                   # U = u_{n+1} + delta
-                est, err = est + w * e, err + abs(w) * b
+            est, err = em(c.n + lead, xp)                   # U = u_{n+1} + delta
         except OverflowError:           # libm's refusal of what numpy takes to inf
             est = err = np.full(c.n.size, math.inf)
         ok = np.isfinite(est) & np.isfinite(err)
@@ -381,9 +387,9 @@ def heat_trace(spectrum: Spectrum, t: float, tol: float = 1e-12,
         raise ValueError(f"heat_trace: need 0 < t < inf, got t={t}")
     meta, tail = spectrum.meta, spectrum.meta.tail
     base = float(meta.kernel_dim) if include_kernel and meta.kernel_dim else 0.0
-    # e^{-t u} on a sphere's |D|, e^{-t u^2} on D^2
-    shape = EmShape(1.0, "gauss" if isinstance(tail, SphereTail) and tail.squared else "exp", t)
-    bound = _estimated(tail, [shape], _envelope_tail(tail, Envelope("exp", 1.0, t), 1.0))
+    # the action of e^{-tx} at Lambda = 1, whose terms are its envelope's terms
+    bound = _estimated(tail, _sphere_shapes(tail, [EmShape(1.0, "exp", t)]),
+                       _envelope_tail(tail, Envelope("exp", 1.0, t), 1.0, lambda c, xp: c.x))
 
     def block_terms(n, v, m):
         x = m * _libm(math.exp, np.maximum(-t * v, -745.0))
@@ -424,9 +430,8 @@ def zeta_direct(spectrum: Spectrum, s: complex, tol: float = 1e-12,
         x = m * v ** (-sigma)
         return x * np.exp(-1j * s.imag * np.log(v)) if s.imag else x, np.ones(x.size, bool), None
 
-    # u^{-s} on a sphere's |D|, u^{-2s} on D^2
-    power = 2.0 * s if isinstance(tail, SphereTail) and tail.squared else s
-    bound = _estimated(tail, [EmShape(1.0, "power", power)], _power_tail(tail, sigma))
+    bound = _estimated(tail, _sphere_shapes(tail, [EmShape(1.0, "power", s)]),
+                       _power_tail(tail, sigma))
     total, terms, tail_bound, converged, certified = _certified_sum(
         spectrum, block_terms, bound, tol, base=base)
     return TruncationReport(complex(base + total), terms, tail_bound, converged, certified)
@@ -462,7 +467,8 @@ def spectral_action_direct(spectrum: Spectrum, f, lam: float,
             f"spectral_action_direct: cutoff decay p={cert[0]} <= p={meta.dimension_p}: "
             "series diverges")
     base = meta.kernel_dim * f.f0() if meta.kernel_dim else 0.0
-    shapes = f.em_shapes(lam) if _on_sphere(tail) and hasattr(f, "em_shapes") else None
+    shapes = (_sphere_shapes(tail, f.em_shapes(lam))
+              if isinstance(tail, SphereTail) and hasattr(f, "em_shapes") else None)
     # the bound holds from x = mu/Lambda >= x0 on: an edge ends the sum there
     x0 = edge if edge is not None else cert[2] if cert is not None else 0.0
 
@@ -486,11 +492,12 @@ def spectral_action_direct(spectrum: Spectrum, f, lam: float,
     return TruncationReport(base + total, terms, tail_bound, converged, certified)
 
 
-def _envelope_tail(tail, env, lam: float):
+def _envelope_tail(tail, env, lam: float, term=None):
     """bound(cols, xp) on sum_{m>n} M_m f(mu_m/Lambda) from an envelope
-    f <= C h, h(x) = e^{-ax} or e^{-(x/w)^2}, on a polynomial or exponential
-    tail model, or for h = e^{-ax} on a log-square one; None on any other.
-    The heat trace is the envelope e^{-tx} at Lambda = 1.
+    f <= C h, h(x) = e^{-ax} or e^{-(x/w)^2}, on a polynomial, exponential
+    or log-square tail model; None on any other.  `term(cols, xp)`, the
+    column M_n h(mu_n/Lambda), defaults to computing it: the heat trace, the
+    envelope e^{-tx} at Lambda = 1, hands over its own term column.
 
     With h decreasing and N(L) <= A (c+L)^P, Stieltjes integration (dropping
     -h(X/Lambda) N(X) <= 0) bounds the tail past X by
@@ -504,29 +511,34 @@ def _envelope_tail(tail, env, lam: float):
     (n+2)/(n+1) h(r mu_n/Lambda)/h(mu_n/Lambda) each: a geometric bound.
     On mu_n = ln^2(n + shift) the substitution u = ln x bounds the heat tail
     past n by the term M_n e^{-t mu_n} times X/(2t ln X - 1), X = n + shift + 1.
+    A Gaussian takes that bound through e^{-(x/w)^2} <= e^{(aw)^2/4} e^{-ax},
+    which holds for every a > 0 (the difference of the exponents is a
+    square); at index n, a = 2 mu_n/(Lambda w^2) makes the right side
+    e^{-(mu_n/(w Lambda))^2}, the envelope at mu_n itself, with the heat rate
+    t = a/Lambda = 2 mu_n/(w Lambda)^2.
     """
-    if isinstance(tail, ExponentialTail):
-        # h(mu/Lambda) = e^{-y} and h(r mu/Lambda)/h(mu/Lambda) = e^{-(k-1) y}
-        if env.kind == "exp":
-            t, k = env.a / lam, tail.ratio
-            y = lambda v: t * v
-        else:
-            s, k = env.a * lam, tail.ratio * tail.ratio
-            y = lambda v: (v / s) ** 2
-        return lambda c, xp: env.C * _geometric(
-            c.m * xp.exp(-y(c.v)), (c.n + 2) / (c.n + 1) * xp.exp(-(k - 1.0) * y(c.v)))
     if env.kind == "exp":
         t = env.a / lam
-        if isinstance(tail, PolynomialTail):
-            return lambda c, xp: env.C * _poly_heat_tail(tail, t, c.v, xp)
-        if isinstance(tail, LogSquareTail):
-            return lambda c, xp: env.C * _logsq_heat_tail(tail, t, c.n, c.m * xp.exp(-t * c.v), xp)
-        return None
+        y = lambda v: t * v                 # h(v/Lambda) = e^{-y(v)}
+    else:
+        s = env.a * lam
+        y = lambda v: (v / s) ** 2
+    if term is None:
+        term = lambda c, xp: c.m * xp.exp(-y(c.v))
+    if isinstance(tail, ExponentialTail):
+        # h(r mu/Lambda)/h(mu/Lambda) = e^{-(k-1) y}
+        k = tail.ratio if env.kind == "exp" else tail.ratio * tail.ratio
+        return lambda c, xp: env.C * _geometric(
+            term(c, xp), (c.n + 2) / (c.n + 1) * xp.exp(-(k - 1.0) * y(c.v)))
+    if isinstance(tail, LogSquareTail):
+        rate = (lambda v: t) if env.kind == "exp" else (lambda v: 2.0 * v / (s * s))
+        return lambda c, xp: env.C * _logsq_heat_tail(tail, rate(c.v), c.n, term(c, xp), xp)
     if not isinstance(tail, PolynomialTail):
         return None
+    if env.kind == "exp":
+        return lambda c, xp: env.C * _poly_heat_tail(tail, t, c.v, xp)
     A, P, off = tail.coeff, tail.power, max(tail.offset, 0.0)
     Q = float(math.ceil(P))
-    s = env.a * lam
     scale = env.C * A * s ** Q
     return lambda c, xp: scale * xp.power((off + c.v) / c.v, P) * xp.power(c.v, P - Q) \
         * xp.upper_gamma(Q / 2.0 + 1.0, (c.v / s) ** 2)

@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -332,15 +333,38 @@ class EmShape(NamedTuple):
     low: int = 0
 
 
-def em_tail(coeffs, shape: str, param, low: int = 0):
-    """Euler--Maclaurin tail sum_{k>=0} g(U + k) of g(u) = sum_j coeffs[j] u^{low+j} h(u),
-    h(u) = u^{-param} (shape "power", complex param), e^{-param u} ("exp", low >= -1)
-    or e^{-param u^2} ("gauss", low >= 0).
+EM_KAPPA = 64.0         # ulps: the rounding allowance of `em_tail` on cancelling shapes
+_EPS = float(np.finfo(float).eps)
+_CELLS = 1 << 16        # (tail points) x (shapes) evaluated at once
+
+
+def _libm(fn, x: np.ndarray, *consts) -> np.ndarray:
+    """A `math` function over an array.  numpy's SIMD exp, pow and log differ
+    from libm in the last place on a few percent of inputs, and by CPU."""
+    if x.ndim > 1:
+        return _libm(fn, x.ravel(), *consts).reshape(x.shape)
+    return np.fromiter(map(fn, x.tolist(), *map(repeat, consts)), float, x.size)
+
+
+def _pow_of(t):
+    """libm's x^k for x of the type of t: a float or an array."""
+    return math.pow if isinstance(t, float) else partial(_libm, math.pow)
+
+
+def em_tail(coeffs, shape: str, param, low: int = 0, weight=1.0, U0: float = 0.0):
+    """Euler--Maclaurin tail sum_{k>=0} sum_p weight_p g_p(U + k) of
+    g_p(u) = sum_j coeffs[j] u^{low+j} h_p(u), h_p(u) = u^{-param_p} (shape
+    "power", complex params), e^{-param_p u} ("exp", low >= -1) or
+    e^{-param_p u^2} ("gauss", low >= 0).  `param` and `weight` are one value
+    each or, for the exp and gauss shapes, equal-length lists, one entry per
+    shape: the shapes of a kind are evaluated as one array call over their
+    params.
 
     Returns tail(U, xp) -> (estimate, bound) over an array U > 0, in closed form:
 
-        estimate = int_U^oo g + g(U)/2 - sum_{k=1}^{m} B_2k/(2k)! g^(2k-1)(U),
-        bound    = |B_2m|/(2m)! int_U^oo |g^(2m)|, bounded from above as below,
+        estimate = sum_p weight_p e_p,   bound = sum_p |weight_p| b_p,
+        e_p = int_U^oo g_p + g_p(U)/2 - sum_{k=1}^{m} B_2k/(2k)! g_p^(2k-1)(U),
+        b_p = |B_2m|/(2m)! int_U^oo |g_p^(2m)|, bounded from above as below,
 
     with m = 5.  The remainder is -int_U^oo B~_2m(u)/(2m)! g^(2m)(u) du (DLMF
     2.10.1 carried one term further) and |B~_2m| <= |B_2m| (DLMF 24.9.1), so
@@ -354,6 +378,27 @@ def em_tail(coeffs, shape: str, param, low: int = 0):
     (the recurrence of `poly_gauss_derivative`), int_U^oo u^i e^{-tu^2} =
     Gamma((i+1)/2, tU^2)/(2 t^{(i+1)/2}), and |Q_2m(u)| <= sum_i |q_i| u^i
     for u > 0.  `xp` supplies exp, log, power and upper_gamma over arrays.
+
+    `U0`, the smallest U the tail is taken at, lets it leave out the shapes
+    whose terms are all 0 in floats from there on.
+
+    Shapes of both signs can cancel far below their own size (a narrow
+    window's two estimates are each about 1e4 times their difference), and
+    then the rounding of the e_p is no longer small next to the estimate.
+    Where the weights have both signs the bound therefore adds
+
+        eps sum_p |weight_p e_p| (EM_KAPPA + 2 y_p),   y_p = t_p U (exp) or t_p U^2 (gauss),
+
+    y_p = 0 for power shapes.  Against the same formula in 40-digit
+    arithmetic, at the same float t and U, one shape's e_p was within
+    16 + 1.3 y_p ulps of |e_p| (5,329 points: exp shapes of low -1 and
+    0 and Gaussian shapes on the S^1..S^4 multiplicities, t from 1e-31 to
+    1e3, y from 1e-30 to 690; the E_1 and Gamma(j+1, .) arrays, the Horner
+    sums, and the rounding of y itself, which e^{-y} turns into y/2 to y
+    ulps).  EM_KAPPA = 64 covers the 16 with room for the products
+    weight_p e_p and their pairwise sum over at most 4096 shapes, and 2 y_p
+    covers 1.3 y_p.  Sums of one shape, or of shapes of one sign, keep the
+    bound without the term.
     """
     if shape != "power" and low < (-1 if shape == "exp" else 0):
         raise ValueError(f"em_tail: low = {low} is below the {shape} shape's range")
@@ -361,52 +406,96 @@ def em_tail(coeffs, shape: str, param, low: int = 0):
     m, top = len(em_b), abs(em_b[-1])
     # (weight, order) of g(U)/2 and of the derivatives g^(2k-1)(U) in the estimate
     orders = [(0.5, 0)] + [(-b, 2 * k - 1) for k, b in enumerate(em_b, start=1)]
-    est, err = {}, {}
+    params, w = (list(param), list(weight)) if isinstance(param, list) else ([param], [weight])
+    power = {"power": 0, "exp": 1, "gauss": 2}[shape]      # y_p = t_p U^power
+    if power and U0 > 0.0 and len(params) > 1:
+        # from y = t U0^power on, e^{-y} y^J is 0 in floats for every power J
+        # the terms take: such shapes add exact zeros, and are left out
+        J = max(0, low + len(coeffs))
+        kept = [(p, v) for p, v in zip(params, w)
+                if (y := p * U0 ** power) - J * math.log(y) <= 746.0]
+        params, w = [p for p, _ in kept], [v for _, v in kept]
+    mixed = min(w, default=0.0) < 0.0 < max(w, default=0.0)
     if shape == "power":
-        s = complex(param) - low
-        sigma = s.real
-        s = s if s.imag else sigma
-        for j, a in enumerate(coeffs):
-            if a:
-                # (u^{j-s})^(r) = (j-s)_r u^{j-s-r}: Laurent coefficients in U of g / U^{-s}
-                est[j + 1] = est.get(j + 1, 0.0) + a / (s - j - 1)
-                for w, r in orders:
-                    est[j - r] = est.get(j - r, 0.0) + w * a * _falling(j - s, r)
-                err[j + 1 - 2 * m] = abs(a * _falling(j - s, 2 * m)) / (sigma + 2 * m - 1 - j)
+        if len(params) != 1:
+            raise ValueError("em_tail: the power shape takes one param")
+        t, rows = 0.0, _power_tail(coeffs, params[0], low, orders, m, top)
+    else:
+        # one shape's coefficients are floats, several shapes' arrays
+        t = float(params[0]) if len(params) == 1 else np.array(params, dtype=float)
+        with np.errstate(all="ignore"):     # array coefficients past the floats are inf, as floats'
+            rows = (_gauss_tail if shape == "gauss" else _exp_tail)(coeffs, low, t, orders, m, top)
+    ww, step = np.array(w), max(1, _CELLS // max(len(w), 1))
 
-        def tail(U, xp):
-            mod = xp.power(U, -sigma)                               # |U^{-s}|
-            base = mod * np.exp(-1j * s.imag * xp.log(U)) if isinstance(s, complex) else mod
-            return base * _laurent(est, U, xp), top * mod * _laurent(err, U, xp)
-        return tail
-    t = float(param)
-    if shape == "gauss":
-        return _gauss_tail(coeffs, low, t, orders, 2 * m, top)
+    def tail(U, xp):
+        if len(w) == 1:             # one shape: its float coefficients take U as it is
+            e, b = rows(U, xp)
+            return w[0] * e, abs(w[0]) * b
+        est, bound = [], []
+        for i in range(0, U.size, step):
+            u = U[i:i + step, None]
+            e, b = rows(u, xp)                              # (points, shapes)
+            we = ww * e
+            est.append(we.sum(axis=1))
+            bound.append((np.abs(ww) * b).sum(axis=1))
+            if mixed:
+                y = t * u ** power
+                bound[-1] = bound[-1] + _EPS * (np.abs(we) * (EM_KAPPA + 2.0 * y)).sum(axis=1)
+        return np.concatenate(est), np.concatenate(bound)
+    return tail
+
+
+def _power_tail(coeffs, param, low: int, orders, m: int, top: float):
+    """em_tail's power shape: rows(U, xp) of g(u) = sum_j coeffs[j] u^{low+j-param}."""
+    est, err = {}, {}
+    s = complex(param) - low
+    sigma = s.real
+    s = s if s.imag else sigma
+    for j, a in enumerate(coeffs):
+        if a:
+            # (u^{j-s})^(r) = (j-s)_r u^{j-s-r}: Laurent coefficients in U of g / U^{-s}
+            est[j + 1] = est.get(j + 1, 0.0) + a / (s - j - 1)
+            for w, r in orders:
+                est[j - r] = est.get(j - r, 0.0) + w * a * _falling(j - s, r)
+            err[j + 1 - 2 * m] = abs(a * _falling(j - s, 2 * m)) / (sigma + 2 * m - 1 - j)
+
+    def rows(U, xp):
+        mod = xp.power(U, -sigma)                               # |U^{-s}|
+        base = mod * np.exp(-1j * s.imag * xp.log(U)) if isinstance(s, complex) else mod
+        return base * _laurent(est, U, xp), top * mod * _laurent(err, U, xp)
+    return rows
+
+
+def _exp_tail(coeffs, low: int, t, orders, m: int, top: float):
+    """em_tail's exponential shape: rows(U, xp) of g_p(u) = sum_j coeffs[j] u^{low+j} e^{-t_p u}."""
+    pw = _pow_of(t)
+    neg = [pw(-t, k) for k in range(2 * m)]        # (-t)^k
     integral, gam = {}, {}          # coefficients of Gamma(j+1, tU) in the integral, the bound
     inv = {}                        # of e^{-tU} U^k in the bound, from the u^{-1} term
+    est = {}                        # of e^{-tU} U^k in the estimate
     # (u^j e^{-tu})^(r) = e^{-tu} sum_i C(r, i) (j)_i u^{j-i} (-t)^{r-i}: the estimate
     # takes (j)_i u^{j-i} times lead[i], the sum over its orders r of w C(r, i) (-t)^{r-i}
     lead = {}
     for j, a in enumerate(coeffs, start=low):
         if a:
-            integral[j] = a * t ** (-j - 1)
+            integral[j] = a * pw(t, -j - 1)
             for i in range(j + 1 if j >= 0 else 2 * m):
                 if i not in lead:
-                    lead[i] = sum(w * math.comb(r, i) * (-t) ** (r - i)
+                    lead[i] = sum(w * math.comb(r, i) * neg[r - i]
                                   for w, r in orders if r >= i)
                 est[j - i] = est.get(j - i, 0.0) + a * _falling(j, i) * lead[i]
                 if j >= 0:
                     # int_U^oo u^{j-i} t^{2m-i} e^{-tu} du = t^{2m-j-1} Gamma(j-i+1, tU)
                     gam[j - i] = gam.get(j - i, 0.0) + abs(a) * math.comb(2 * m, i) \
-                        * _falling(j, i) * t ** (2 * m - j - 1)
+                        * _falling(j, i) * pw(t, 2 * m - j - 1)
                 else:
                     # u^{-1} e^{-tu} is completely monotone: int_U^oo |h^(2m)| = |h^(2m-1)(U)|
                     inv[-1 - i] = abs(a) * math.comb(2 * m - 1, i) * math.factorial(i) \
-                        * t ** (2 * m - 1 - i)
+                        * pw(t, 2 * m - 1 - i)
 
     need = list(gam) + [j for j in integral if j not in gam]
 
-    def tail(U, xp):
+    def rows(U, xp):
         y = t * U
         g = {i: xp.upper_gamma(i + 1.0, y) for i in need}
         bound = sum(c * g[i] for i, c in gam.items())
@@ -414,37 +503,41 @@ def em_tail(coeffs, shape: str, param, low: int = 0):
             bound = bound + xp.exp(-y) * _laurent(inv, U, xp)
         return (sum(c * g[j] for j, c in integral.items()) + xp.exp(-y) * _laurent(est, U, xp),
                 top * bound)
-    return tail
+    return rows
 
 
-def _gauss_tail(coeffs, low: int, t: float, orders, order: int, top: float):
-    """em_tail's Gaussian shape: tail(U, xp) of g(u) = sum_j coeffs[j] u^{low+j} e^{-tu^2}."""
+def _gauss_tail(coeffs, low: int, t, orders, m: int, top: float):
+    """em_tail's Gaussian shape: rows(U, xp) of g_p(u) = sum_j coeffs[j] u^{low+j} e^{-t_p u^2}."""
+    order = 2 * m
     q = [0.0] * low + [float(a) for a in coeffs]      # g^(r) = Q_r e^{-tu^2}, from Q_0
     weight = {r: w for w, r in orders}
     est = [0.0] * (len(q) + order)      # of U^i e^{-tU^2} in the estimate
-    integral = {i: c / (2.0 * t ** ((i + 1) / 2.0)) for i, c in enumerate(q) if c}
+    pw = _pow_of(t)
+    integral = {i: c / (2.0 * pw(t, (i + 1) / 2.0)) for i, c in enumerate(q) if c}
     # the coefficient of u^i in Q_r carries t^{(i+r-low)/2} or more: below t = 2^-64
     # the recurrence runs on q_i / s^{i+1}, s a power of 2 near sqrt(t), so that
     # they underflow only where the bound does (s = 1 above: the plain recurrence)
-    s = 1.0 if t >= 2.0 ** -64 else 2.0 ** round(math.log2(t) / 2.0)
-    q = [c / s ** (i + 1) for i, c in enumerate(q)]
+    scale = lambda v: 1.0 if v >= 2.0 ** -64 else 2.0 ** round(math.log2(v) / 2.0)
+    s = scale(t) if isinstance(t, float) else np.array([scale(v) for v in t.tolist()])
+    spow = [pw(s, i + 1) for i in range(len(q) + order)]      # exact
+    q = [c / spow[i] for i, c in enumerate(q)]
     for r in range(order):
         if r in weight:
             for i, c in enumerate(q):
-                est[i] += weight[r] * c * s ** (i + 1)
+                est[i] += weight[r] * c * spow[i]
         q = _gauss_step(q, t, s)
     # int_U^oo u^i e^{-tu^2} du = Gamma((i+1)/2, tU^2) / (2 t^{(i+1)/2})
-    err = {i: top * abs(c) / (2.0 * (t / (s * s)) ** ((i + 1) / 2.0))
-           for i, c in enumerate(q) if c}
+    err = {i: top * abs(c) / (2.0 * pw(t / (s * s), (i + 1) / 2.0))
+           for i, c in enumerate(q) if (c.any() if isinstance(c, np.ndarray) else c)}
     poly = dict(enumerate(est))
 
-    def tail(U, xp):
+    def rows(U, xp):
         y = t * U * U
         ey = xp.exp(-y)
         g = _half_ladder(y, ey, xp, set(integral) | set(err))
         return (sum(c * g[i] for i, c in integral.items()) + ey * _laurent(poly, U, xp),
                 sum((c * g[i] for i, c in err.items()), np.zeros(y.shape)))
-    return tail
+    return rows
 
 
 def _half_ladder(y, ey, xp, need: set) -> dict:

@@ -492,3 +492,16 @@ def test_s1_heat_whose_value_overflows_is_refused(capsys):
     # 2/t overflows at t = 1e-310: no value can be reported, let alone certified
     code, out, err = run_cli(["heat", "--triple", "s1", "--t-grid", "1e-310:1e-310:1"], capsys)
     assert code == 2 and out == "" and err.startswith("error: t 1e-310 is out of range")
+
+
+@pytest.mark.parametrize("args, terms", [
+    (["action", "--triple", "s2sq", "--cutoff", "nulltaylor", "--lambda-grid", "2:2:1"], 40),
+    (["action", "--triple", "s3", "--cutoff", "window:1e-30,1", "--lambda-grid", "5:5:1"], 10),
+])
+def test_actions_that_ran_to_the_term_cap_converge(capsys, args, terms):
+    # both summed 2,000,002 terms on their counting bounds and exited 3; on the
+    # Euler--Maclaurin route they stop after a few terms
+    code, out, err = run_cli(args, capsys)
+    assert code == 0
+    lam, value, used, tail_bound, converged = out.strip().splitlines()[1].split(",")
+    assert converged == "True" and int(used) <= terms

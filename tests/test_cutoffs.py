@@ -217,14 +217,16 @@ def test_em_shapes_reproduce_the_cutoff():
     h = {"exp": lambda p, u: np.exp(-p * u), "gauss": lambda p, u: np.exp(-p * u * u),
          "power": lambda p, u: u ** -p}
     lam, mu = 7.0, np.linspace(0.5, 60.0, 40)
-    for text in ("exp:1.5", "powerlaw:1,2,4", "gauss:1.3", "product(exp:1,exp:2)"):
+    for text in ("exp:1.5", "powerlaw:1,2,4", "gauss:1.3", "product(exp:1,exp:2)",
+                 "window:1,2", "product(exp:1,window:1,2)", "nulltaylor"):
         f = parse_cutoff(text)
         shapes = f.em_shapes(lam)
         got = sum(sh.weight * (mu + sh.delta) ** sh.low * h[sh.kind](sh.param, mu + sh.delta)
                   for sh in shapes)
         assert np.allclose(got, f.evaluate(mu / lam), rtol=1e-13, atol=0.0), text
-    for text in ("window:1,2", "nulltaylor", "product(exp:1,powerlaw:1,1,3)",
-                 "product(exp:1,window:1,2)"):
+    # a power factor, a window at a = 0, and two windows' u^{-2}
+    for text in ("product(exp:1,powerlaw:1,1,3)", "window:0,2",
+                 "product(window:1,2,window:1,2)"):
         assert parse_cutoff(text).em_shapes(lam) is None, text
     # t = (w Lambda)^{-2} past floats: no shape where it overflows, and a
     # refusal where it falls below the normal floats

@@ -12,15 +12,16 @@ its entries and reports an infinite bound, neither converged nor (past the
 four entries before the first stop test) certified.
 
 The sphere keys `s1`, `s1nt`, `s2`, `s3`, `s2sq` and `s3sq` are the catalog
-spheres, which declare exact data.  Off the Euler--Maclaurin route (window,
-sharp, and `counting`) they keep their counting-bound reports bit for bit.
-On that route (heat on |D| and D^2, zeta on |D| and D^2, and `exp`, products
-of `exp`, `powerlaw` and `gauss` actions) a catalog sphere's report is its
-`.em` row: the value is the head sum plus the tail estimate, `terms` counts
-the head, and `test_em_tails` checks every `.em` row against mpmath within
-its bound.  A sphere row with an `.em` twin was recorded before the spheres
-declared exact data: it runs on the sphere's `counted` copy and pins the
-counting-bound kernel on sums of up to 2,000,002 terms.
+spheres, which declare exact data.  Off the Euler--Maclaurin route (sharp,
+products with a `powerlaw` factor, and `counting`) they keep their
+counting-bound reports bit for bit.  On that route (heat on |D| and D^2, zeta
+on |D| and D^2, and the actions of every Laplace cut-off: `exp`, `window`,
+`nulltaylor` and their products, `powerlaw`, and `gauss`) a catalog sphere's
+report is its `.em` row: the value is the head sum plus the tail estimate,
+`terms` counts the head, and `test_em_tails` checks every `.em` row against
+mpmath within its bound.  A sphere row with an `.em` twin was recorded
+before its call took that route: it runs on the sphere's `counted` copy and
+pins the counting-bound kernel on sums of up to 2,000,002 terms.
 
 Every cut-off has one tail certificate.  Where it is an envelope (f <= C e^{-ax}:
 `exp`, `window`, their products; f <= e^{-(x/w)^2}: `gauss`), the counting
@@ -37,18 +38,9 @@ import pytest
 
 from sal.cutoffs import parse_cutoff
 from sal.series import counting, heat_trace, spectral_action_direct, zeta_direct
-from sal.spectra import (PodlesParams, PolynomialTail, Spectrum, SpectrumMeta,
-                         load_spectrum_jsonl, nctorus_spectrum, podles_spectrum,
+from sal.spectra import (PodlesParams, load_spectrum_jsonl, nctorus_spectrum, podles_spectrum,
                          save_spectrum_jsonl, sphere_spectrum, torus_spectrum)
-from test_series import log_square_spectrum
-
-
-def counted(spectrum: Spectrum) -> Spectrum:
-    """The spectrum with its counting bound alone, without exact sphere data."""
-    meta, tail = spectrum.meta, spectrum.meta.tail
-    return Spectrum(SpectrumMeta(meta.dimension_p, meta.kernel_dim, meta.label,
-                                 PolynomialTail(tail.coeff, tail.power, tail.offset)),
-                    spectrum.blocks)
+from test_series import counted, log_square_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +146,9 @@ ACTION = [   # spectrum, cut-off, Lambda, terms_used, value, tail_bound, converg
     ('s3.em', 'gauss', 10.0, 29, 881.7957908254942, 7.233031103514862e-10, True, True),
     ('s3.em', 'gauss', 15.0, 5, 2984.3691714621627, 2.1725273117887503e-09, True, True),
     ('s3.em', 'gauss', 20.0, 5, 7080.953134367535, 2.914815869534474e-10, True, True),
+    ('s3.em', 'window:1,2', 120.0, 5, 2591958.411611871, 6.814768926108376e-08, True, True),
+    ('s1.em', 'window:1,2', 120.0, 10, 166.35740666169207, 1.5141970266938914e-10, True, True),
+    ('s1.em', 'nulltaylor', 10.0, 7, 58.916022758233886, 2.1780958575641756e-11, True, True),
 ]
 
 

@@ -14,9 +14,17 @@ from sal.series import (DivergentSeriesError, PairwiseSummer, averaged_counting,
                         counting, heat_trace, mellin_check,
                         partial_trace, spectral_action_direct, zeta_direct)
 from sal.special import riemann_zeta
-from sal.spectra import (LogSquareTail, PodlesParams, Spectrum, SpectrumMeta,
+from sal.spectra import (LogSquareTail, PodlesParams, PolynomialTail, Spectrum, SpectrumMeta,
                          block_ranges, nctorus_spectrum, podles_spectrum,
                          sphere_spectrum)
+
+
+def counted(spectrum: Spectrum) -> Spectrum:
+    """The spectrum with its counting bound alone, without exact sphere data."""
+    meta, tail = spectrum.meta, spectrum.meta.tail
+    return Spectrum(SpectrumMeta(meta.dimension_p, meta.kernel_dim, meta.label,
+                                 PolynomialTail(tail.coeff, tail.power, tail.offset)),
+                    spectrum.blocks)
 
 
 def log_square_spectrum() -> Spectrum:
@@ -100,6 +108,20 @@ def test_exp_action_on_log_square_spectrum_within_bound(lam, tol):
         total, n, term = mp.mpf(0), 0, mp.mpf(1)
         while term > 1e-30 * total:
             term = mp.exp(-mp.log(n + 2) ** 2 / lam)
+            total, n = total + term, n + 1
+    assert abs(rep.value - total) <= rep.tail_bound + 1e-13 * total
+
+
+def test_gauss_action_on_log_square_spectrum_within_bound():
+    # the Gaussian envelope takes the log-square heat bound through
+    # e^{-(x/w)^2} <= e^{(aw)^2/4} e^{-ax}; it used to have no bound there
+    import mpmath as mp
+    rep = spectral_action_direct(log_square_spectrum(), gaussian_cutoff(), 0.5, tol=1e-9)
+    assert rep.converged and rep.certified and rep.terms_used < 100
+    with mp.workdps(30):
+        total, n, term = mp.mpf(0), 0, mp.mpf(1)
+        while term > 1e-30 * total:
+            term = mp.exp(-(mp.log(n + 2) ** 2 / 0.5) ** 2)
             total, n = total + term, n + 1
     assert abs(rep.value - total) <= rep.tail_bound + 1e-13 * total
 
@@ -364,9 +386,25 @@ def test_action_stops_at_term_cap_below_x0():
     # mu_n / Lambda stays below 1e-18: the envelope f(x) <= e^{-x} bounds the
     # tail there by about the whole series, and the sum runs to the term cap
     lam = 1e25
-    rep = spectral_action_direct(sphere_spectrum(1, "trivial"), window_cutoff(1.0, 2.0), lam)
+    rep = spectral_action_direct(counted(sphere_spectrum(1, "trivial")), window_cutoff(1.0, 2.0),
+                                 lam)
     assert rep.terms_used == 2_000_002
     assert not rep.converged and math.isfinite(rep.tail_bound)
     # the whole series sum_{n>=1} 2 f(n/Lambda) is below 2 Lambda int_0^oo f = 2 Lambda ln 2
     # (f decreases), so the bound exceeds the tail that remains
     assert rep.tail_bound > 2.0 * lam * math.log(2.0)
+
+
+def test_window_action_far_below_x0_on_the_exact_circle():
+    # the same sum on the exact S^1 data takes the Euler--Maclaurin tail; its two
+    # shapes, each about 114 Lambda, cancel to 2 Lambda ln 2, so their rounding
+    # keeps the bound above the tolerance: the value is within its bound of
+    # (b - a) + 2 Lambda ln((1 - e^{-b/Lambda})/(1 - e^{-a/Lambda}))
+    import mpmath as mp
+    lam = 1e25
+    rep = spectral_action_direct(sphere_spectrum(1, "trivial"), window_cutoff(1.0, 2.0), lam)
+    assert rep.certified and math.isfinite(rep.tail_bound)
+    with mp.workdps(30):
+        L = mp.mpf(lam)
+        exact = 1 + 2 * L * mp.log(mp.expm1(-2 / L) / mp.expm1(-1 / L))
+        assert abs(rep.value - exact) <= rep.tail_bound + 1e-13 * exact
